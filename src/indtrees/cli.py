@@ -17,7 +17,7 @@ from .experiments import (
     run_experiment,
 )
 from .graphs import read_graph, sample_gnp, write_graph
-from .moments import compute_profile, variance_ratio_bound
+from .moments import BracketError, compute_profile, variance_ratio_bound
 from .rng import Seed
 from .solver import greedy_tree_lower_bound, max_induced_tree
 from .solver import DEFAULT_BUDGET
@@ -233,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code: 2 for bad input, 3 for I/O errors."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -243,6 +244,12 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
+    except OSError as exc:
+        print(f"indtrees {args.command}: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, BracketError) as exc:
+        print(f"indtrees {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -219,8 +219,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
             jobs.append((n, p, stream, config.master_seed, config.solver))
             stream += 1
     if workers > 1:
+        # about four chunks per worker, so even a small batch reaches every worker
+        chunksize = max(1, math.ceil(len(jobs) / (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, jobs, chunksize=16))
+            records = list(pool.map(_run_trial, jobs, chunksize=chunksize))
     else:
         records = [_run_trial(j) for j in jobs]
     records.sort(key=TrialRecord.sort_key)

@@ -176,24 +176,25 @@ def induced_subgraph(g: Graph, s: VertexSet | Iterable[int]) -> Graph:
     return Graph(len(verts), edges)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
+def is_connected_set(g: Graph, mask: int) -> bool:
+    """Whether the vertices in mask induce a connected subgraph; False for 0."""
+    if mask == 0:
         return False
-    seen = 1
-    frontier = 1
-    full = (1 << g.n) - 1
+    seen = frontier = mask & -mask
+    adj = g.adj
     while frontier:
         nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-        if seen == full:
-            return True
-    return seen == full
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def is_connected(g: Graph) -> bool:
+    return is_connected_set(g, (1 << g.n) - 1)
 
 
 def is_tree(g: Graph) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, induced_subgraph, is_tree
+from .graphs import Graph, VertexSet, induced_subgraph, is_connected_set, is_tree
 from .rng import Seed
 
 DEFAULT_BUDGET = 10**8
@@ -20,25 +20,6 @@ class SolveResult:
     witness: VertexSet
     nodes_explored: int
     optimal: bool
-
-
-def _connected_in(g: Graph, mask: int) -> bool:
-    # connectivity of the sub-bitset without building the induced Graph
-    if mask == 0:
-        return False
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
 
 
 def max_induced_tree_bruteforce(g: Graph) -> SolveResult:
@@ -59,7 +40,7 @@ def max_induced_tree_bruteforce(g: Graph) -> SolveResult:
         e = edges[rest] + (adj[low.bit_length() - 1] & rest).bit_count()
         edges[s] = e
         size = s.bit_count()
-        if e == size - 1 and size > best_size and _connected_in(g, s):
+        if e == size - 1 and size > best_size and is_connected_set(g, s):
             best_size = size
             best_mask = s
     return SolveResult(best_size, VertexSet(best_mask), (1 << n) - 1, True)
@@ -68,11 +49,21 @@ def max_induced_tree_bruteforce(g: Graph) -> SolveResult:
 def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Branch and bound over connected induced trees grown one vertex at a time.
 
-    A vertex is addable iff it has exactly one neighbor inside the current
-    tree; two or more would close an induced cycle, and that count only grows
-    as the tree does, so such vertices are dead permanently. Each tree is
-    counted once, rooted at its minimum-index vertex. Budget counts branch
-    expansions; exhaustion returns the incumbent with optimal=False.
+    Each search node tracks, for its tree T:
+      - `once`: the vertices with at least one neighbour in T;
+      - `twice`: those with at least two. Adding v to T sets
+        `twice |= once & adj[v]`, then `once |= adj[v]`. A vertex in `twice`
+        would close an induced cycle, and its count only grows, so it is
+        never addable again: it is dropped from `pool` when it appears, and
+        `twice` itself is not stored;
+      - `pool`: the vertices above the root, outside T, not excluded on this
+        branch and not in `twice`.
+    The addable vertices are `pool & once`, and `size + |pool|` bounds every
+    tree below the node, so a node costs a few bitset operations and no scan
+    of the vertices. The search branches on the lowest addable vertex,
+    include first, then exclude. Each tree is counted once, rooted at its
+    minimum-index vertex. Budget counts branch expansions; exhaustion returns
+    the incumbent with optimal=False.
     """
     n = g.n
     if n == 0:
@@ -82,57 +73,54 @@ def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     best_size = 1
     best_mask = 1
     nodes = 0
-    exhausted = False
-
-    def search(tree: int, excluded: int, universe: int, size: int) -> None:
-        # universe: vertices still allowed at all (above root, not dead)
-        nonlocal best_size, best_mask, nodes, exhausted
-        if exhausted:
-            return
-        stack = [(tree, excluded, universe, size)]
+    for root in range(n):
+        if n - root <= best_size:
+            break
+        pool = ((1 << n) - 1) >> (root + 1) << (root + 1)  # above the root
+        stack = [(1 << root, pool, adj[root], 1)]
         while stack:
-            tree, excluded, universe, size = stack.pop()
+            tree, pool, once, size = stack.pop()
             if size > best_size:
                 best_size = size
                 best_mask = tree
-            alive = universe & ~excluded & ~tree
-            # drop vertices with >= 2 neighbors in the tree: never addable again
-            frontier = 0
-            pool = 0
-            m = alive
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                c = (adj[v] & tree).bit_count()
-                if c <= 1:
-                    pool |= low
-                    if c == 1:
-                        frontier |= low
-                m ^= low
-            if size + pool.bit_count() <= best_size or not frontier:
+            frontier = pool & once
+            if not frontier or size + pool.bit_count() <= best_size:
                 continue
             nodes += 1
             if nodes >= budget:
-                exhausted = True
-                return
+                return SolveResult(best_size, VertexSet(best_mask), nodes, False)
             v = frontier & -frontier
-            # branch: exclude v, then include v (include explored first via LIFO)
-            stack.append((tree, excluded | v, universe & ~v, size))
-            stack.append((tree | v, excluded, universe, size + 1))
+            a = adj[v.bit_length() - 1]
+            pool &= ~v
+            # LIFO: the include branch is explored before the exclude branch
+            stack.append((tree, pool, once, size))
+            stack.append((tree | v, pool & ~(once & a), once | a, size + 1))
+    return SolveResult(best_size, VertexSet(best_mask), nodes, True)
 
-    for root in range(n):
-        if exhausted:
-            break
-        universe = ((1 << n) - 1) >> root << root  # root and above
-        if n - root <= best_size:
-            break
-        search(1 << root, 0, universe, 1)
 
-    return SolveResult(best_size, VertexSet(best_mask), nodes, not exhausted)
+def _nth_bit(mask: int, r: int) -> int:
+    """Index of the r-th lowest set bit of mask (r = 0 is the lowest)."""
+    # invariant: fewer than r+1 set bits lie below lo, at least r+1 below hi
+    lo, hi = 0, mask.bit_length()
+    above = mask.bit_count() - r
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mask >> mid).bit_count() < above:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
-    """Randomized greedy extension with restarts; a valid lower bound, never optimal."""
+    """Randomized greedy extension with restarts; a valid lower bound, never optimal.
+
+    Each restart grows a tree from a uniform root and adds a uniform addable
+    vertex until none is left. It keeps the `once`/`twice` state of
+    `max_induced_tree`: `pool` holds the vertices outside the tree and not in
+    `twice`, so the addable ones are `pool & once`. The draw takes the r-th
+    lowest of them, with r uniform below their count.
+    """
     n = g.n
     if n == 0:
         return SolveResult(0, VertexSet(0), 0, False)
@@ -144,24 +132,17 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
         root = int(rng.integers(n))
         tree = 1 << root
         size = 1
-        alive = ((1 << n) - 1) & ~tree
+        once = adj[root]
+        pool = ((1 << n) - 1) & ~tree
         while True:
-            frontier = []
-            m = alive
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                c = (adj[v] & tree).bit_count()
-                if c > 1:
-                    alive ^= low  # dead for the rest of this run
-                elif c == 1:
-                    frontier.append(v)
-                m ^= low
+            frontier = pool & once
             if not frontier:
                 break
-            v = frontier[int(rng.integers(len(frontier)))]
+            v = _nth_bit(frontier, int(rng.integers(frontier.bit_count())))
+            a = adj[v]
+            pool &= ~((1 << v) | (once & a))
+            once |= a
             tree |= 1 << v
-            alive &= ~(1 << v)
             size += 1
         if size > best_size:
             best_size = size

@@ -129,3 +129,29 @@ def test_experiment_run_exit_codes(capsys, tmp_path):
         str(out_dir),
     )
     assert code == 3
+
+
+def assert_one_line_error(err, *fragments):
+    assert "Traceback" not in err
+    assert err.endswith("\n") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_solve_missing_file_exits_3(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, "solve", "--in", str(missing))
+    assert code == 3 and out == ""
+    assert_one_line_error(err, "indtrees solve:", str(missing))
+
+
+def test_sample_bad_p_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sample", "--n", "10", "--p", "1.5", "--seed", "1")
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees sample:", "1.5")
+
+
+def test_moments_profile_no_bracket_exits_2(capsys):
+    code, out, err = run_cli(capsys, "moments", "profile", "--n", "100", "--p", ".001")
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees moments:", "k_star")

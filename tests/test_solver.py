@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,3 +115,65 @@ def test_greedy_deterministic_per_seed():
     a = greedy_tree_lower_bound(g, 50, Seed(8, 1))
     b = greedy_tree_lower_bound(g, 50, Seed(8, 1))
     assert a == b
+
+
+# (n, p, stream) of Seed(303, stream) -> (size, nodes_explored, witness mask),
+# all optimal; recorded from the per-vertex rescan search that the
+# incremental masks replaced, so any change of traversal order shows here
+PINNED_SEARCHES = [
+    (14, 0.45, 1400, 7, 115, 719),
+    (14, 0.45, 1401, 7, 197, 1359),
+    (14, 0.45, 1402, 9, 69, 3571),
+    (14, 0.45, 1403, 8, 86, 5973),
+    (14, 0.45, 1404, 8, 73, 11121),
+    (14, 0.45, 1405, 7, 157, 3134),
+    (14, 0.45, 1406, 6, 155, 287),
+    (16, 0.4, 1600, 8, 223, 39687),
+    (16, 0.4, 1601, 8, 347, 6885),
+    (16, 0.4, 1602, 10, 162, 6007),
+    (16, 0.4, 1603, 10, 173, 3823),
+    (16, 0.4, 1604, 11, 292, 65196),
+    (16, 0.4, 1605, 9, 198, 37818),
+    (16, 0.4, 1606, 9, 241, 25326),
+    (18, 0.3, 1800, 14, 124, 244717),
+    (18, 0.3, 1801, 10, 669, 180605),
+    (18, 0.3, 1802, 12, 174, 193895),
+    (18, 0.3, 1803, 11, 362, 56237),
+    (18, 0.3, 1804, 12, 255, 216303),
+    (18, 0.3, 1805, 12, 315, 51711),
+    (18, 0.3, 1806, 11, 367, 158271),
+]
+
+
+@pytest.mark.parametrize("n,p,stream,size,nodes,mask", PINNED_SEARCHES)
+def test_search_matches_pinned_records(n, p, stream, size, nodes, mask):
+    res = max_induced_tree(sample_gnp(n, p, Seed(303, stream)))
+    assert (res.size, res.nodes_explored, res.witness.mask, res.optimal) == (
+        size, nodes, mask, True
+    )
+
+
+def test_search_pinned_with_budget_and_at_n40():
+    starved = max_induced_tree(sample_gnp(18, 0.3, Seed(5, 0)), budget=3)
+    assert (starved.size, starved.nodes_explored, starved.witness.mask) == (3, 3, 11)
+    assert not starved.optimal
+    res = max_induced_tree(sample_gnp(40, 0.3, Seed(1, 0)))
+    assert (res.size, res.nodes_explored, res.witness.mask, res.optimal) == (
+        18, 232278, 36553219244, True
+    )
+
+
+@pytest.mark.parametrize(
+    "restarts,size,digest",
+    [
+        (1, 339, "48a09f2957a094033dda22eada79711a38cb36adf8dce01e67b5755a3b5ff2ab"),
+        (5, 356, "a518f684b97f154cceb69528b06828d268ad6f0e1c1382ec7217b7211518ad03"),
+    ],
+)
+def test_greedy_matches_pinned_records(restarts, size, digest):
+    # digest: SHA-256 of hex(witness.mask), recorded as for PINNED_SEARCHES
+    g = sample_gnp(1000, 0.01, Seed(7, 0))
+    res = greedy_tree_lower_bound(g, restarts, Seed(7, 1))
+    assert res.size == size
+    assert hashlib.sha256(hex(res.witness.mask).encode()).hexdigest() == digest
+    assert check_witness(g, res)
