@@ -25,13 +25,7 @@ from .solver import DEFAULT_BUDGET
 
 def _cmd_sample(args) -> int:
     g = sample_gnp(args.n, args.p, Seed(args.seed, 0))
-    if args.out:
-        write_graph(g, args.out)
-    else:
-        edges = list(g.edges())
-        sys.stdout.write(f"{g.n} {len(edges)}\n")
-        for (u, v) in edges:
-            sys.stdout.write(f"{u} {v}\n")
+    write_graph(g, args.out or sys.stdout)
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import enumerate_labeled_trees
-from .graphs import Graph, sample_gnp
+from .graphs import Graph, _sample_pair_index, sample_gnp
 from .moments import BracketError, g_threshold, log_expected_trees, solve_k_hat
 from .rng import Seed
 from .solver import (
@@ -450,12 +450,11 @@ def monte_carlo_tree_count(
 
     counts = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        g = sample_gnp(n, p, seed.with_stream(t))
+        # pair_index follows the sampler's lexicographic pair order
         edgevec = np.zeros(m, dtype=np.int64)
-        for (u, v) in g.edges():
-            edgevec[pair_index[(u, v)]] = 1
-        codes = (edgevec[sub_pairs] * weights).sum(axis=1)
-        counts[t] = np.isin(codes, tree_codes).sum()
+        edgevec[_sample_pair_index(n, p, seed.with_stream(t))] = 1
+        codes = edgevec[sub_pairs] @ weights
+        counts[t] = np.count_nonzero(np.isin(codes, tree_codes))
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return mean, stderr

@@ -11,6 +11,9 @@ from .rng import Seed
 
 MAX_N = 65_536  # bitset width ceiling
 _GEOMETRIC_SKIP_THRESHOLD = 4096  # above this, sample sparse p by run-length skipping
+_DRAW_BLOCK = 1 << 20  # uniforms per rng.random call in the sampler
+_ROW_BLOCK = 1024  # adjacency rows staged per byte buffer
+_LOOP_EDGES = 128  # up to this many edges, a per-edge loop builds rows faster than numpy
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,25 @@ class Graph:
         self.adj = tuple(adj)
         self._edge_count = m
 
+    @classmethod
+    def _from_pair_index(cls, n: int, idx: np.ndarray) -> "Graph":
+        """Graph from sorted, unique lexicographic pair indices; n <= MAX_N."""
+        starts = _pair_index_bounds(n)
+        us = np.searchsorted(starts, idx, side="right") - 1
+        vs = idx - starts[us] + us + 1
+        g = cls.__new__(cls)
+        g.n = n
+        g._edge_count = len(idx)
+        if len(idx) > _LOOP_EDGES:
+            g.adj = _adjacency_rows(n, us, vs)
+            return g
+        adj = [0] * n
+        for u, v in zip(us.tolist(), vs.tolist()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        g.adj = tuple(adj)
+        return g
+
     @property
     def edge_count(self) -> int:
         return self._edge_count
@@ -102,6 +124,35 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _adjacency_rows(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, ...]:
+    """Neighbour bitmasks from unique pairs u < v.
+
+    Each block of _ROW_BLOCK rows is ORed into a little-endian byte buffer and
+    converted row by row, so the n x n/8 bit matrix is never staged at once.
+    """
+    width = (n + 7) // 8
+    src = np.concatenate((us, vs)).astype(np.int32)
+    dst = np.concatenate((vs, us)).astype(np.int32)
+    order = np.argsort(src.astype(np.uint16), kind="stable")  # radix sort; n <= 2**16
+    src, dst = src[order], dst[order]
+    offset = (src % _ROW_BLOCK) * width + (dst >> 3)
+    bit = np.left_shift(1, dst & 7).astype(np.uint8)
+    block_starts = np.searchsorted(src, np.arange(0, n + _ROW_BLOCK, _ROW_BLOCK)).tolist()
+    rows = [0] * n
+    for b, r0 in enumerate(range(0, n, _ROW_BLOCK)):
+        lo, hi = block_starts[b], block_starts[b + 1]
+        if lo == hi:
+            continue
+        r1 = min(n, r0 + _ROW_BLOCK)
+        buf = np.zeros((r1 - r0) * width, dtype=np.uint8)
+        np.bitwise_or.at(buf, offset[lo:hi], bit[lo:hi])
+        raw = buf.tobytes()
+        rows[r0:r1] = [
+            int.from_bytes(raw[o:o + width], "little") for o in range(0, len(raw), width)
+        ]
+    return tuple(rows)
+
+
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -123,6 +174,48 @@ def _pair_index_bounds(n: int) -> np.ndarray:
     return u * n - u * (u + 1) // 2
 
 
+def _skip_gaps(u: np.ndarray, logq: float, m: int) -> np.ndarray:
+    """Geometric gaps floor(log1p(-u) / logq), clipped at m before the int64 cast.
+
+    math.log1p, not np.log1p: the two differ in the last ulp on ~7 % of
+    inputs, which can move a floor and so an edge. A subnormal p makes the
+    quotient overflow to inf, which the clip turns into "no further edge".
+    """
+    logs = np.fromiter(map(math.log1p, (-u).tolist()), dtype=np.float64, count=u.size)
+    with np.errstate(over="ignore"):
+        return np.minimum(logs / logq, m).astype(np.int64)
+
+
+def _sample_pair_index(n: int, p: float, seed: Seed) -> np.ndarray:
+    """Sorted lexicographic pair indices of the edges of G(n, p); see sample_gnp."""
+    m = n * (n - 1) // 2
+    if p == 0.0 or m == 0:
+        return np.empty(0, dtype=np.int64)
+    if p == 1.0:
+        return np.arange(m, dtype=np.int64)
+    rng = seed.generator()
+    if n <= _GEOMETRIC_SKIP_THRESHOLD:
+        below = np.empty(m, dtype=bool)
+        for start in range(0, m, _DRAW_BLOCK):
+            np.less(rng.random(min(_DRAW_BLOCK, m - start)), p, out=below[start:start + _DRAW_BLOCK])
+        return np.flatnonzero(below)
+    hits = []
+    # blocks of draws from the same stream as one draw per gap; draws
+    # past the last edge are discarded with the local generator
+    logq = math.log1p(-p)
+    last = -1
+    while True:
+        expect = (m - last) * p
+        k = min(_DRAW_BLOCK, int(expect + 4 * math.sqrt(expect)) + 64)
+        pos = last + np.cumsum(_skip_gaps(rng.random(k), logq, m) + 1)
+        end = int(np.searchsorted(pos, m))
+        hits.append(pos[:end])
+        if end < k:
+            break
+        last = int(pos[-1])
+    return np.concatenate(hits)
+
+
 def sample_gnp(n: int, p: float, seed: Seed) -> Graph:
     """Sample G(n,p): each pair joined independently with probability p.
 
@@ -134,32 +227,7 @@ def sample_gnp(n: int, p: float, seed: Seed) -> Graph:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n < 0 or n > MAX_N:
         raise ValueError(f"n must be in [0, {MAX_N}]")
-    if p == 0.0 or n < 2:
-        return Graph(n)
-    if p == 1.0:
-        return complete_graph(n)
-
-    rng = seed.generator()
-    m = n * (n - 1) // 2
-    if n <= _GEOMETRIC_SKIP_THRESHOLD:
-        u = rng.random(m)
-        hit = np.flatnonzero(u < p)
-    else:
-        hits = []
-        logq = math.log1p(-p)
-        idx = -1
-        while True:
-            skip = int(math.log1p(-rng.random()) / logq)
-            idx += 1 + skip
-            if idx >= m:
-                break
-            hits.append(idx)
-        hit = np.asarray(hits, dtype=np.int64)
-
-    starts = _pair_index_bounds(n)
-    us = np.searchsorted(starts, hit, side="right") - 1
-    vs = hit - starts[us] + us + 1
-    return Graph(n, zip(us.tolist(), vs.tolist()))
+    return Graph._from_pair_index(n, _sample_pair_index(n, p, seed))
 
 
 def induced_subgraph(g: Graph, s: VertexSet | Iterable[int]) -> Graph:
@@ -222,29 +290,92 @@ def is_forest(g: Graph) -> bool:
     return True
 
 
-def write_graph(g: Graph, path) -> None:
-    """Text format: first line "n m", then one "u v" line per edge, u < v."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{g.n} {g.edge_count}\n")
-        for (u, v) in g.edges():
-            fh.write(f"{u} {v}\n")
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (u, v), u < v, in lexicographic order.
+
+    Rows are scanned a block at a time: nonzero 64-bit words, then their
+    nonzero bytes, then the set bits of those bytes.
+    """
+    row_bits = 64 * ((g.n + 63) // 64)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r0 in range(0, g.n, _ROW_BLOCK):
+        raw = b"".join(row.to_bytes(row_bits // 8, "little") for row in g.adj[r0:r0 + _ROW_BLOCK])
+        words = np.frombuffer(raw, dtype="<u8")
+        w = np.flatnonzero(words)
+        nonzero = words[w].view(np.uint8)
+        b = np.flatnonzero(nonzero)
+        bits = np.unpackbits(nonzero[b, None], axis=1, bitorder="little")
+        k, j = np.nonzero(bits)
+        pos = (w[b >> 3] * 64 + (b & 7) * 8)[k] + j
+        u, v = pos // row_bits + r0, pos % row_bits
+        upper = v > u
+        us.append(u[upper])
+        vs.append(v[upper])
+    return np.concatenate(us), np.concatenate(vs)
+
+
+def _edge_lines(n: int, us: np.ndarray, vs: np.ndarray) -> str:
+    """The "u v\\n" lines for edges (us, vs), formatted by table lookup.
+
+    Each vertex's decimal digits are right-aligned in NUL-padded columns;
+    dropping the NULs leaves exactly f"{u} {v}\\n" per edge.
+    """
+    width = len(str(MAX_N - 1))
+    x = np.arange(n)
+    digits = np.zeros((n, width), dtype=np.uint8)
+    for c in range(width):
+        scale = 10 ** (width - 1 - c)
+        shown = (x >= scale) | (scale == 1)
+        digits[:, c] = np.where(shown, ord("0") + x // scale % 10, 0)
+    line = np.empty((len(us), 2 * width + 2), dtype=np.uint8)
+    line[:, :width] = digits[us]
+    line[:, width] = ord(" ")
+    line[:, width + 1:-1] = digits[vs]
+    line[:, -1] = ord("\n")
+    flat = line.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def write_graph(g: Graph, path_or_buf) -> None:
+    """Text format: first line "n m", then one "u v" line per edge, u < v.
+
+    Writes to a path, or to an open text stream such as sys.stdout.
+    """
+    text = f"{g.n} {g.edge_count}\n" + _edge_lines(g.n, *_edge_arrays(g))
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        with open(path_or_buf, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        path_or_buf.write(text)
 
 
 def read_graph(path) -> Graph:
+    """Inverse of write_graph. Blank lines are skipped and repeated edges
+    counted once; the header's m must equal the number of distinct edges."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("malformed header, expected 'n m'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            if not line.strip():
-                continue
-            u, v = map(int, line.split())
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
-            edges.append((u, v))
-    g = Graph(n, edges)
-    if g.edge_count != m:
-        raise ValueError(f"header claims {m} edges, found {g.edge_count}")
-    return g
+        header, _, body = fh.read().partition("\n")
+    header = header.split()
+    if len(header) != 2:
+        raise ValueError("malformed header, expected 'n m'")
+    n, m = int(header[0]), int(header[1])
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_N}]")
+    lines = body.split("\n")
+    per_line = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    bad = np.flatnonzero((per_line != 0) & (per_line != 2))
+    if bad.size:
+        raise ValueError(f"line {bad[0] + 2}: expected 'u v', got {lines[bad[0]]!r}")
+    try:
+        uv = np.array(body.split(), dtype=np.int64).reshape(-1, 2)  # int() per token
+    except OverflowError:
+        raise ValueError("vertex out of range") from None
+    us, vs = uv[:, 0], uv[:, 1]
+    bad = np.flatnonzero(~((0 <= us) & (us < vs) & (vs < n)))
+    if bad.size:
+        u, v = uv[bad[0]].tolist()
+        raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
+    idx = np.sort(_pair_index_bounds(n)[us] + (vs - us - 1))
+    idx = idx[np.diff(idx, prepend=-1) != 0]
+    if idx.size != m:
+        raise ValueError(f"header claims {m} edges, found {idx.size}")
+    return Graph._from_pair_index(n, idx)

@@ -139,8 +139,15 @@ def solve_k_hat(n: int, p: float) -> KHatResult:
     ks = k_star(n, p)
     if ks <= 2:
         raise BracketError(f"k_star = {ks:.3f} <= 2 at n={n}, p={p}")
-    if gamma(n, p, ks) >= 0:
-        raise BracketError(f"gamma(k_star) = {gamma(n, p, ks):.3g} >= 0 at n={n}, p={p}")
+    g_ks = gamma(n, p, ks)
+    if g_ks >= 0:
+        rounding = _gamma_rounding(n, p, ks)
+        if g_ks <= rounding:
+            raise BracketError(
+                f"n={n:.3g} is beyond float64 resolution for p={p}: "
+                f"gamma(k_star) = {g_ks:.3g} is within its rounding error {rounding:.3g}"
+            )
+        raise BracketError(f"gamma(k_star) = {g_ks:.3g} >= 0 at n={n}, p={p}")
     # locate the maximizer: gamma' changes sign from + to - before k_star
     lo, hi = 1.0 + 1e-9, ks
     if gamma_derivative(n, p, lo) <= 0 or gamma_derivative(n, p, hi) >= 0:

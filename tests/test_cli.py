@@ -2,6 +2,7 @@ import json
 
 
 from indtrees.cli import main
+from indtrees.experiments import THETA_UPPER
 from indtrees.graphs import read_graph
 
 
@@ -24,6 +25,7 @@ def test_sample_to_file_and_stdout(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == f"10 {g.edge_count}"
     assert len(lines) == 1 + g.edge_count
+    assert out.encode("ascii") == path.read_bytes()
 
 
 def test_solve_json_output(capsys, tmp_path):
@@ -155,3 +157,11 @@ def test_moments_profile_no_bracket_exits_2(capsys):
     code, out, err = run_cli(capsys, "moments", "profile", "--n", "100", "--p", ".001")
     assert code == 2 and out == ""
     assert_one_line_error(err, "indtrees moments:", "k_star")
+
+
+def test_moments_profile_beyond_float_resolution_exits_2(capsys):
+    n = 10**107
+    p = n ** -THETA_UPPER
+    code, out, err = run_cli(capsys, "moments", "profile", "--n", str(n), "--p", repr(p))
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees moments:", "beyond float64 resolution")
