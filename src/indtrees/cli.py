@@ -8,7 +8,16 @@ import math
 import sys
 from pathlib import Path
 
-from .counting import count_forests, count_overlap_pairs, validate_overlap_bounds
+from .counting import (
+    MAX_OVERLAP_K,
+    cayley,
+    count_forests,
+    count_forests_enumerated,
+    count_overlap_pairs,
+    rooted_forest_count_closed_form,
+    rooted_forest_count_enumerated,
+    validate_overlap_bounds,
+)
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -17,10 +26,9 @@ from .experiments import (
     run_experiment,
 )
 from .graphs import read_graph, sample_gnp, write_graph
-from .moments import BracketError, compute_profile, variance_ratio_bound
+from .moments import BracketError, compute_profile, solve_k_hat, variance_ratio_bound
 from .rng import Seed
-from .solver import greedy_tree_lower_bound, max_induced_tree
-from .solver import DEFAULT_BUDGET
+from .solver import DEFAULT_BUDGET, greedy_tree_lower_bound, max_induced_tree
 
 
 def _cmd_sample(args) -> int:
@@ -83,27 +91,45 @@ def _cmd_oracle_overlap(args) -> int:
 
 
 def _cmd_oracle_forests(args) -> int:
+    counts = [count_forests(args.l, r).value for r in range(args.l)]
     print(f"labeled forests on {args.l} vertices by edge count")
-    rows = []
-    for r in range(args.l):
-        v = count_forests(args.l, r).value
-        rows.append({"l": args.l, "r": r, "phi": v})
+    for r, v in enumerate(counts):
         print(f"{r:>3} {v:>14}")
+    rows = [{"l": args.l, "r": r, "phi": v} for r, v in enumerate(counts)]
     print(json.dumps({"l": args.l, "rows": rows}))
     return 0
 
 
 def _cmd_oracle_validate(args) -> int:
+    """Overlap bounds and partition for k <= kmax, forest counts for l <= 7 and
+    rooted-forest counts for n <= 6, each against exact enumeration."""
+    if args.kmax > MAX_OVERLAP_K:
+        raise ValueError(f"--kmax must be at most {MAX_OVERLAP_K}, got {args.kmax}")
     all_ok = True
     payload = []
     for k in range(2, args.kmax + 1):
         for l in range(2, k + 1):
             report = validate_overlap_bounds(k, l)
             rows = _bound_rows_json(report)
-            ok = all(row["ok"] for row in rows)
-            all_ok = all_ok and ok
+            bounds_ok = all(row["ok"] for row in rows)
+            partition_ok = sum(row.n_total for row in report.rows) == cayley(k) ** 2
+            all_ok = all_ok and bounds_ok and partition_ok
             payload.append({"k": k, "l": l, "rows": rows})
-            print(f"k={k} l={l}: {'ok' if ok else 'VIOLATION'}")
+            print(
+                f"k={k} l={l}: {'ok' if bounds_ok else 'VIOLATION'}"
+                f"{'' if partition_ok else ', PARTITION MISMATCH'}"
+            )
+    for l in range(1, 8):
+        ok = all(count_forests(l, r).value == count_forests_enumerated(l, r) for r in range(l))
+        all_ok = all_ok and ok
+        print(f"forests l={l}: {'ok' if ok else 'MISMATCH'}")
+    for n in range(2, 7):
+        ok = all(
+            rooted_forest_count_closed_form(n, m) == rooted_forest_count_enumerated(n, m)
+            for m in range(1, n + 1)
+        )
+        all_ok = all_ok and ok
+        print(f"rooted forests n={n}: {'ok' if ok else 'MISMATCH'}")
     print(json.dumps(payload))
     return 0 if all_ok else 1
 
@@ -117,8 +143,6 @@ def _cmd_moments_profile(args) -> int:
 def _cmd_moments_varbound(args) -> int:
     k = args.k
     if k is None:
-        from .moments import solve_k_hat
-
         k = math.floor(solve_k_hat(args.n, args.p).root - 0.5)
     vb = variance_ratio_bound(args.n, args.p, k, args.w_exponent)
     print("part,ell,log_summand")
@@ -155,11 +179,7 @@ def _cmd_experiment_run(args) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
     for s in result.summaries:
-        win = f"[{s.window[0]}, {s.window[1]}]" if s.window else "n/a"
-        print(
-            f"n={s.n} p={s.p:.6g}: window {win} mass {s.window_mass:.4f}"
-            f"{' (near tie)' if s.near_tie else ''}"
-        )
+        print(s.to_text())
     print(f"wrote {out / 'records.csv'} and {out / 'result.json'}")
     return 0
 
@@ -195,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = osub.add_parser("forests", help="forest counts phi(l,r)")
     sp.add_argument("--l", type=int, required=True)
     sp.set_defaults(func=_cmd_oracle_forests)
-    sp = osub.add_parser("validate", help="check all counting bounds on a grid")
+    sp = osub.add_parser(
+        "validate", help="check all counting bounds and forest counts against enumeration"
+    )
     sp.add_argument("--kmax", type=int, default=6)
     sp.set_defaults(func=_cmd_oracle_validate)
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .logreal import LogReal
+from .graphs import forest_components
+from .logreal import pow_log
 
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
 MAX_OVERLAP_K = 6  # (k^(k-2))^2 pairs; 1296^2 ~ 1.7M at k=6
@@ -82,31 +83,11 @@ class ForestCount:
     value: int
 
 
-def _acyclic(edges: Iterable[tuple[int, int]], l: int) -> bool:
-    parent = list(range(l))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b) in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
-
-
 def count_forests_enumerated(l: int, r: int) -> int:
-    """phi(l, r) by filtering all r-subsets of the edges of K_l; oracle path, l <= 8."""
-    if l > 8:
-        raise ValueError("enumeration path limited to l <= 8")
+    """phi(l, r) by counting what enumerate_forests yields; oracle path, l <= 8."""
     if not (0 <= r <= max(l - 1, 0)):
         raise ValueError(f"need 0 <= r <= l-1, got l={l}, r={r}")
-    all_edges = list(itertools.combinations(range(l), 2))
-    return sum(1 for sub in itertools.combinations(all_edges, r) if _acyclic(sub, l))
+    return sum(1 for _ in enumerate_forests(l, r))
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +121,7 @@ def enumerate_forests(l: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
         raise ValueError("enumeration limited to l <= 8")
     all_edges = list(itertools.combinations(range(l), 2))
     for sub in itertools.combinations(all_edges, r):
-        if _acyclic(sub, l):
+        if forest_components(l, sub) is not None:
             yield sub
 
 
@@ -158,45 +139,22 @@ def rooted_forest_count_closed_form(n: int, m: int) -> int:
 def rooted_forest_count_enumerated(l: int, m: int) -> int:
     """Rooted forests on [l] with m trees: each forest weighted by the product
     of its component sizes (one root choice per tree)."""
-    r = l - m
-    total = 0
-    for forest in enumerate_forests(l, r):
-        parent = list(range(l))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, b) in forest:
-            parent[find(a)] = find(b)
-        sizes: dict[int, int] = {}
-        for v in range(l):
-            root = find(v)
-            sizes[root] = sizes.get(root, 0) + 1
-        w = 1
-        for s in sizes.values():
-            w *= s
-        total += w
-    return total
+    return sum(math.prod(forest_components(l, f)) for f in enumerate_forests(l, l - m))
 
 
-def f_piecewise(k: int, l: int, r: int) -> LogReal:
-    """Piecewise upper bound on the number of k-trees inducing a fixed r-edge
-    forest on a fixed l-set; branches split at l/2 and l(1-1/e)."""
+def f_piecewise(k: int, l: int, r: int) -> float:
+    """ln of a piecewise upper bound on the number of k-trees inducing a fixed
+    r-edge forest on a fixed l-set; branches split at l/2 and l(1-1/e).
+
+    -inf where the bound is 0; ZeroDivisionError where it is undefined."""
     if not (0 <= r <= l - 1 < k):
         raise ValueError(f"need 0 <= r <= l-1 < k, got k={k}, l={l}, r={r}")
-
-    def term(base: float, exponent: float) -> LogReal:
-        return LogReal.from_float(base).powi(exponent)
-
-    tail = term(l + 1, k - l - 1) * term(k - l, k - r - 2)
+    tail = pow_log(l + 1, k - l - 1) + pow_log(k - l, k - r - 2)
     if r < l / 2:
-        return term(2, r) * tail
+        return pow_log(2, r) + tail
     if r < l * ONE_MINUS_INV_E:
-        return term(3, 2 * r - l) * term(2, 2 * l - 3 * r) * tail
-    return term(l / (l - r), l - r) * tail
+        return pow_log(3, 2 * r - l) + pow_log(2, 2 * l - 3 * r) + tail
+    return pow_log(l / (l - r), l - r) + tail
 
 
 @dataclass(frozen=True)
@@ -268,11 +226,11 @@ def count_trees_extending_forest(
     if k > 8:
         raise ValueError("limited to k <= 8")
     forest = tuple(tuple(sorted(e)) for e in forest)
-    if not _acyclic(forest, l):
-        raise ValueError("input is not a forest")
     for (a, b) in forest:
         if not (0 <= a < b < l):
             raise ValueError(f"forest edge ({a},{b}) outside [0, {l})")
+    if forest_components(l, forest) is None:
+        raise ValueError("input is not a forest")
     target = frozenset(forest)
     count = 0
     for tree in enumerate_labeled_trees(k):
@@ -324,7 +282,7 @@ def validate_overlap_bounds(
         n_tot = table.pairs_total[r]
         n_match = table.pairs_matching[r]
         try:
-            f = f_piecewise(k, l, r).to_float()
+            f = math.exp(f_piecewise(k, l, r))
         except ZeroDivisionError:
             f = None
         ok = n_tot <= tk * tk

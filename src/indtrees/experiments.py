@@ -8,8 +8,6 @@ serial and parallel runs produce identical records.
 from __future__ import annotations
 
 import csv
-
-import itertools
 import json
 import math
 import time
@@ -17,10 +15,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from .counting import enumerate_labeled_trees
-from .graphs import Graph, _sample_pair_index, sample_gnp
+from .graphs import open_output, sample_gnp
 from .moments import BracketError, g_threshold, log_expected_trees, solve_k_hat
 from .rng import Seed
 from .solver import (
@@ -51,6 +46,8 @@ class PRule:
         if self.kind == "power":
             return float(n) ** (-self.value)
         if self.kind == "reciprocal_log":
+            if n < 2:
+                raise ConfigError(f"reciprocal_log p rule needs n >= 2 (ln n > 0), got n={n}")
             return self.value / math.log(n)
         raise ConfigError(f"unknown p rule kind {self.kind!r}")
 
@@ -151,6 +148,12 @@ def _run_trial(args) -> TrialRecord:
 
 @dataclass(frozen=True)
 class BatchSummary:
+    """One (n, p) batch: the size histogram, the threshold window and k_hat.
+
+    The best consecutive pair and the Markov upper tail are derived on
+    request, so they cost nothing in run_experiment and stay out of exports.
+    """
+
     n: int
     p: float
     histogram: dict[int, int]  # over optimal trials only
@@ -172,6 +175,62 @@ class BatchSummary:
             "k_hat": self.k_hat,
         }
 
+    @property
+    def best_pair(self) -> tuple[int, int] | None:
+        """The consecutive sizes (s, s+1) holding the most optimal trials; the lowest on a tie."""
+        hist = self.histogram
+        return max(
+            ((s, s + 1) for s in sorted(hist)),
+            key=lambda pair: hist[pair[0]] + hist.get(pair[1], 0),
+            default=None,
+        )
+
+    @property
+    def best_pair_mass(self) -> float:
+        if self.best_pair is None:
+            return 0.0
+        s, t = self.best_pair
+        return (self.histogram[s] + self.histogram.get(t, 0)) / sum(self.histogram.values())
+
+    @property
+    def markov_tail(self) -> dict[int, float]:
+        """E X_k for the (up to) three sizes above the largest one observed."""
+        if not self.histogram or not 0 < self.p < 1:
+            return {}
+        top = max(self.histogram)
+        return {
+            k: log_expected_trees(self.n, self.p, k).to_float()
+            for k in range(top + 1, min(top + 4, self.n) + 1)
+        }
+
+    def to_text(self) -> str:
+        lines = [f"n={self.n} p={self.p}"]
+        total = sum(self.histogram.values())
+        for size in sorted(self.histogram):
+            c = self.histogram[size]
+            bar = "#" * max(1, round(40 * c / total))
+            lines.append(f"  size {size:>3}: {c:>6} {bar}")
+        if self.lower_bound_only:
+            lines.append(
+                f"  {self.lower_bound_only} trials gave lower bounds only (not in the histogram)"
+            )
+        if self.best_pair is not None:
+            lines.append(
+                f"  best consecutive pair {self.best_pair} mass {self.best_pair_mass:.4f}"
+            )
+        if self.window is not None:
+            tie = " (near tie)" if self.near_tie else ""
+            lines.append(
+                f"  g(n) window [{self.window[0]}, {self.window[1]}] "
+                f"mass {self.window_mass:.4f}{tie}"
+            )
+        if self.k_hat is not None:
+            lines.append(f"  k_hat = {self.k_hat:.3f}")
+        tail = self.markov_tail
+        for k in sorted(tail):
+            lines.append(f"  E X_{k} = {tail[k]:.3g} (Markov upper tail)")
+        return "\n".join(lines)
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -192,7 +251,7 @@ def _summarize(n: int, p: float, records: list[TrialRecord], delta: float) -> Ba
     window = None
     mass = 0.0
     near_tie = False
-    if n * p > 1:
+    if n * p > 1 and p < 1:
         thr = g_threshold(n, p, delta)
         window = (thr.value, thr.value + 1)
         near_tie = thr.near_tie
@@ -238,92 +297,21 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
 # reporting
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
-    n: int
-    p: float
-    histogram: dict[int, int]
-    best_pair: tuple[int, int]
-    best_pair_mass: float
-    g_value: int | None
-    g_near_tie: bool
-    k_hat: float | None
-    markov_tail: dict[int, float]  # k above the window -> E X_k
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "best_pair": list(self.best_pair),
-            "best_pair_mass": self.best_pair_mass,
-            "g": self.g_value,
-            "g_near_tie": self.g_near_tie,
-            "k_hat": self.k_hat,
-            "markov_tail": {str(k): v for k, v in sorted(self.markov_tail.items())},
-        }
-
-    def to_text(self) -> str:
-        lines = [f"n={self.n} p={self.p}"]
-        total = sum(self.histogram.values())
-        for size in sorted(self.histogram):
-            c = self.histogram[size]
-            bar = "#" * max(1, round(40 * c / total))
-            lines.append(f"  size {size:>3}: {c:>6} {bar}")
-        lines.append(
-            f"  best consecutive pair {self.best_pair} mass {self.best_pair_mass:.4f}"
-        )
-        if self.g_value is not None:
-            tie = " (near tie)" if self.g_near_tie else ""
-            lines.append(f"  g(n) window [{self.g_value}, {self.g_value + 1}]{tie}")
-        if self.k_hat is not None:
-            lines.append(f"  k_hat = {self.k_hat:.3f}")
-        for k in sorted(self.markov_tail):
-            lines.append(f"  E X_{k} = {self.markov_tail[k]:.3g} (Markov upper tail)")
-        return "\n".join(lines)
-
-
 def concentration_report(
     records: tuple[TrialRecord, ...] | list[TrialRecord], delta: float = 0.5
-) -> ConcentrationReport:
-    """Histogram plus the mass of the best two consecutive sizes; rejects mixed (n,p)."""
+) -> BatchSummary:
+    """Summary of one (n, p) batch of records; rejects mixed batches and batches
+    without an optimal record."""
     if not records:
         raise ValueError("empty record set")
     keys = {(r.n, r.p) for r in records}
     if len(keys) > 1:
         raise ValueError(f"mixed (n, p) batches: {sorted(keys)}")
     (n, p), = keys
-    hist: dict[int, int] = {}
-    for rec in records:
-        if rec.optimal:
-            hist[rec.size] = hist.get(rec.size, 0) + 1
-    if not hist:
+    summary = _summarize(n, p, list(records), delta)
+    if not summary.histogram:
         raise ValueError("no optimal records to summarize")
-    total = sum(hist.values())
-    best_pair = None
-    best_mass = -1.0
-    for s in sorted(hist):
-        m = (hist.get(s, 0) + hist.get(s + 1, 0)) / total
-        if m > best_mass:
-            best_mass = m
-            best_pair = (s, s + 1)
-    g_value = None
-    near_tie = False
-    if n * p > 1 and p < 1:
-        thr = g_threshold(n, p, delta)
-        g_value, near_tie = thr.value, thr.near_tie
-    try:
-        k_hat = solve_k_hat(n, p).root if 0 < p < 1 else None
-    except (BracketError, ValueError):
-        k_hat = None
-    tail = {}
-    top = max(hist)
-    if 0 < p < 1:
-        for k in range(top + 1, min(top + 4, n) + 1):
-            tail[k] = log_expected_trees(n, p, k).to_float()
-    return ConcentrationReport(
-        n, p, hist, best_pair, best_mass, g_value, near_tie, k_hat, tail
-    )
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +327,7 @@ def _format_float(x: float) -> str:
 def export_csv(records, path_or_buf, canonical: bool = True) -> None:
     """RFC-4180 CSV; canonical mode zeroes the volatile millis column so that
     reruns of the same config are byte-identical."""
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open_output(path_or_buf, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for rec in records:
@@ -356,9 +342,6 @@ def export_csv(records, path_or_buf, canonical: bool = True) -> None:
                     "0" if canonical else _format_float(rec.millis),
                 ]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def import_csv(path) -> list[TrialRecord]:
@@ -395,77 +378,6 @@ def export_json(result: ExperimentResult, path_or_buf, canonical: bool = True) -
         ],
         "summary": [s.to_dict() for s in result.summaries],
     }
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w") if own else path_or_buf
-    try:
+    with open_output(path_or_buf) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def export(result: ExperimentResult, path, fmt: str, canonical: bool = True) -> None:
-    if fmt == "csv":
-        export_csv(result.records, path, canonical=canonical)
-    elif fmt == "json":
-        export_json(result, path, canonical=canonical)
-    else:
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# sampling oracle for the expectation formula
-
-
-def monte_carlo_tree_count(
-    n: int, p: float, k: int, trials: int, seed: Seed
-) -> tuple[float, float]:
-    """Mean and standard error of the number of induced k-trees over sampled
-    graphs, counted by explicit subset enumeration (independent of the
-    log-domain expectation formula)."""
-    pair_index = {
-        pair: i for i, pair in enumerate(itertools.combinations(range(n), 2))
-    }
-    m = len(pair_index)
-    subsets = list(itertools.combinations(range(n), k))
-    sub_pairs = np.array(
-        [
-            [pair_index[pq] for pq in itertools.combinations(s, 2)]
-            for s in subsets
-        ],
-        dtype=np.int64,
-    )
-    # encode each subset's induced edge pattern as an integer; trees on k
-    # labeled vertices give the admissible patterns
-    local_pairs = list(itertools.combinations(range(k), 2))
-    weights = (1 << np.arange(len(local_pairs), dtype=np.int64))
-    tree_codes = []
-    for tree in enumerate_labeled_trees(k):
-        code = 0
-        for e in tree:
-            code |= 1 << local_pairs.index(e)
-        tree_codes.append(code)
-    tree_codes = np.unique(np.array(tree_codes, dtype=np.int64))
-
-    counts = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        # pair_index follows the sampler's lexicographic pair order
-        edgevec = np.zeros(m, dtype=np.int64)
-        edgevec[_sample_pair_index(n, p, seed.with_stream(t))] = 1
-        codes = edgevec[sub_pairs] @ weights
-        counts[t] = np.count_nonzero(np.isin(codes, tree_codes))
-    mean = float(counts.mean())
-    stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return mean, stderr
-
-
-def count_induced_k_trees(g: Graph, k: int) -> int:
-    """Direct count by subset enumeration; cross-check for the vectorized path."""
-    from .graphs import induced_subgraph, is_tree
-
-    return sum(
-        1
-        for s in itertools.combinations(range(g.n), k)
-        if is_tree(induced_subgraph(g, s))
-    )

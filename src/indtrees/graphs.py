@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import ContextManager, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -272,22 +273,26 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count == g.n - 1 and is_connected(g)
 
 
+def forest_components(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
+    """Component sizes of the graph on [n] with these edges, or None if they close a cycle."""
+    parent = list(range(n))
+    size = [1] * n
+    for u, v in edges:
+        # find both roots, halving each path on the way
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return None
+        parent[u] = v
+        size[v] += size[u]
+    return [s for v, s in enumerate(size) if parent[v] == v]
+
+
 def is_forest(g: Graph) -> bool:
     """Acyclic; vacuously true for the empty graph."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v) in g.edges():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return forest_components(g.n, g.edges()) is not None
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -342,11 +347,16 @@ def write_graph(g: Graph, path_or_buf) -> None:
     Writes to a path, or to an open text stream such as sys.stdout.
     """
     text = f"{g.n} {g.edge_count}\n" + _edge_lines(g.n, *_edge_arrays(g))
+    with open_output(path_or_buf, encoding="ascii") as fh:
+        fh.write(text)
+
+
+def open_output(path_or_buf, **open_kwargs) -> ContextManager[TextIO]:
+    """A context manager giving a text stream to write to: a path is opened
+    with open_kwargs and closed on exit; an open stream is left open."""
     if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        path_or_buf.write(text)
+        return open(path_or_buf, "w", **open_kwargs)
+    return nullcontext(path_or_buf)
 
 
 def read_graph(path) -> Graph:

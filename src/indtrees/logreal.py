@@ -1,8 +1,8 @@
-"""Signed log-domain reals.
+"""Log-domain helpers.
 
 Quantities like C(n,k) * k^(k-2) * p^(k-1) * (1-p)^(C(k,2)-k+1) overflow or
 underflow 64-bit floats long before the interesting parameter range, so all
-moment formulas are evaluated as (sign, log magnitude) pairs.
+moment formulas are evaluated as natural logs.
 """
 from __future__ import annotations
 
@@ -12,130 +12,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LogReal:
-    """A real number stored as sign in {-1, 0, +1} and ln|x|."""
+    """A nonnegative real stored as its natural log; -inf is zero."""
 
-    sign: int
-    logmag: float  # -inf iff sign == 0
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.sign == 0 and self.logmag != -math.inf:
-            object.__setattr__(self, "logmag", -math.inf)
-        if math.isnan(self.logmag):
-            raise ValueError("log magnitude is NaN")
-
-    @staticmethod
-    def zero() -> "LogReal":
-        return LogReal(0, -math.inf)
-
-    @staticmethod
-    def one() -> "LogReal":
-        return LogReal(1, 0.0)
-
-    @staticmethod
-    def from_float(x: float) -> "LogReal":
-        if math.isnan(x):
-            raise ValueError("cannot convert NaN")
-        if x == 0:
-            return LogReal.zero()
-        return LogReal(1 if x > 0 else -1, math.log(abs(x)))
-
-    @staticmethod
-    def from_log(logmag: float, sign: int = 1) -> "LogReal":
-        return LogReal(sign, logmag)
-
-    @staticmethod
-    def exp(logmag: float) -> "LogReal":
-        """The positive number e**logmag."""
-        return LogReal(1, logmag)
+    logmag: float
 
     def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
         try:
-            return self.sign * math.exp(self.logmag)
+            return math.exp(self.logmag)
         except OverflowError:
-            return self.sign * math.inf
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogReal.zero()
-        return LogReal(s, self.logmag + other.logmag)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogReal division by zero")
-        if self.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.logmag - other.logmag)
-
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.sign, self.logmag)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        a, b = self, other
-        if b.logmag > a.logmag:
-            a, b = b, a
-        d = b.logmag - a.logmag  # <= 0
-        if a.sign == b.sign:
-            return LogReal(a.sign, a.logmag + math.log1p(math.exp(d)))
-        if d == 0.0:
-            return LogReal.zero()
-        t = 1.0 - math.exp(d)
-        if t <= 0.0:
-            return LogReal.zero()
-        return LogReal(a.sign, a.logmag + math.log(t))
-
-    def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-other)
-
-    def powi(self, e: float) -> "LogReal":
-        """Raise to a real power; the base must be nonnegative unless e is an integer."""
-        if self.sign == 0:
-            if e == 0:
-                return LogReal.one()  # 0**0 == 1 by convention
-            if e < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return LogReal.zero()
-        if self.sign < 0:
-            if e != int(e):
-                raise ValueError("negative base with non-integer exponent")
-            s = -1 if int(e) % 2 else 1
-            return LogReal(s, self.logmag * e)
-        return LogReal(1, self.logmag * e)
-
-    def __lt__(self, other: "LogReal") -> bool:
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        if self.sign == 0:
-            return False
-        if self.sign > 0:
-            return self.logmag < other.logmag
-        return self.logmag > other.logmag
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self < other or self == other
-
-    def __gt__(self, other: "LogReal") -> bool:
-        return other < self
-
-    def __ge__(self, other: "LogReal") -> bool:
-        return other <= self
-
-    def __repr__(self) -> str:
-        if self.sign == 0:
-            return "LogReal(0)"
-        s = "-" if self.sign < 0 else ""
-        return f"LogReal({s}exp({self.logmag:.6g}))"
+            return math.inf
 
 
 def log_sum_exp(logs) -> float:

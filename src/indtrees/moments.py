@@ -11,6 +11,7 @@ import sys
 from dataclasses import dataclass
 from math import comb, e, lgamma, log, log1p, pi
 
+from .counting import f_piecewise
 from .logreal import LogReal, log_sum_exp
 
 KHAT_TOL = 1e-9
@@ -67,7 +68,7 @@ def log_expected_trees(n: int, p: float, k: int) -> LogReal:
         + (k - 1) * log(p)
         + (comb(k, 2) - k + 1) * log1p(-p)
     )
-    return LogReal.exp(lg)
+    return LogReal(lg)
 
 
 def gamma(n: int, p: float, k: float) -> float:
@@ -369,14 +370,12 @@ def part3_summand_log(p: float, k: int, ell: int, r: int) -> float:
     """r-dependent factor of the overlap sum at integer r: forest-count bound
     times ((1-p)/p)^r times the squared extension bound. Used to check that the
     integer argmax sits next to the real stationary point."""
-    from .counting import f_piecewise
-
     return (
         log_binom(ell, ell - r)
         + log(ell - r)
         + (r - 1) * log(ell)
         + r * (log1p(-p) - log(p))
-        + 2 * f_piecewise(k, ell, r).logmag
+        + 2 * f_piecewise(k, ell, r)
     )
 
 

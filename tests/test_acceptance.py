@@ -31,7 +31,6 @@ from indtrees.experiments import (
     SolverSpec,
     concentration_report,
     export_csv,
-    monte_carlo_tree_count,
     run_experiment,
 )
 from indtrees.graphs import sample_gnp
@@ -43,6 +42,7 @@ from indtrees.moments import (
 )
 from indtrees.rng import Seed
 from indtrees.solver import max_induced_tree, max_induced_tree_bruteforce
+from oracles import monte_carlo_tree_count
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -1,6 +1,10 @@
+import argparse
 import json
 
+import pytest
 
+import indtrees
+from indtrees import cli
 from indtrees.cli import main
 from indtrees.experiments import THETA_UPPER
 from indtrees.graphs import read_graph
@@ -165,3 +169,91 @@ def test_moments_profile_beyond_float_resolution_exits_2(capsys):
     code, out, err = run_cli(capsys, "moments", "profile", "--n", str(n), "--p", repr(p))
     assert code == 2 and out == ""
     assert_one_line_error(err, "indtrees moments:", "beyond float64 resolution")
+
+
+def test_oracle_validate_runs_forest_checks(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "validate", "--kmax", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("forests")] == [
+        f"forests l={l}: ok" for l in range(1, 8)
+    ]
+    assert [line for line in lines if line.startswith("rooted")] == [
+        f"rooted forests n={n}: ok" for n in range(2, 7)
+    ]
+
+
+def test_oracle_validate_forest_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_forests_enumerated", lambda l, r: -1)
+    code, out, _ = run_cli(capsys, "oracle", "validate", "--kmax", "2")
+    assert code == 1
+    assert "forests l=1: MISMATCH" in out
+
+
+def test_oracle_range_errors_leave_stdout_empty(capsys):
+    code, out, err = run_cli(capsys, "oracle", "validate", "--kmax", "9")
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees oracle:", "kmax")
+    code, out, err = run_cli(capsys, "oracle", "forests", "--l", "12")
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees oracle:", "l must be in")
+
+
+def _write_config(path, **fields):
+    cfg = {
+        "n_values": [10],
+        "p_rule": {"kind": "constant", "value": 0.4},
+        "trials": 4,
+        "solver": {"kind": "exact"},
+        "master_seed": 5,
+    }
+    cfg.update(fields)
+    path.write_text(json.dumps(cfg))
+
+
+def test_experiment_run_prints_concentration_report(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, n_values=[10, 12])
+    code, out, _ = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(tmp_path / "out")
+    )
+    assert code == 0
+    assert out.count("best consecutive pair") == 2
+    assert out.count("g(n) window [") == 2 and " mass " in out
+    _write_config(cfg, solver={"kind": "greedy", "restarts": 3})
+    code, out, _ = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(tmp_path / "out")
+    )
+    assert code == 0
+    assert "4 trials gave lower bounds only" in out
+
+
+def test_experiment_run_reciprocal_log_at_n1_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, n_values=[1], p_rule={"kind": "reciprocal_log", "value": 0.5})
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(tmp_path / "out")
+    )
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "config error:", "n >= 2")
+
+
+def test_public_api_and_help(capsys):
+    for name in indtrees.__all__:
+        assert getattr(indtrees, name) is not None
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    top_help = capsys.readouterr().out
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == {"sample", "solve", "oracle", "moments", "experiment"}
+    for name, sub in commands.choices.items():
+        assert name in top_help
+        nested = [a for a in sub._actions if isinstance(a, argparse._SubParsersAction)]
+        for action in nested:
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            sub_help = capsys.readouterr().out
+            for leaf in action.choices:
+                assert leaf in sub_help

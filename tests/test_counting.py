@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -97,22 +99,22 @@ def test_f_piecewise_domain():
         f_piecewise(4, 5, 0)  # l >= k
     with pytest.raises(ZeroDivisionError):
         f_piecewise(4, 4, 3)  # (k-l)^(k-r-2) = 0^(-1): undefined
-    assert f_piecewise(4, 4, 1).is_zero()  # 0^1 = 0 is fine
+    assert f_piecewise(4, 4, 1) == -math.inf  # 0^1 = 0 is fine
 
 
 def test_f_piecewise_branches():
     # r < l/2: 2^r tail
     v = f_piecewise(10, 6, 2)
     expect = 2**2 * 7**3 * 4**6
-    assert v.to_float() == pytest.approx(expect, rel=1e-12)
+    assert math.exp(v) == pytest.approx(expect, rel=1e-12)
     # l/2 <= r < l(1-1/e): 3^(2r-l) 2^(2l-3r) tail
     v = f_piecewise(10, 6, 3)
     expect = 3**0 * 2**3 * 7**3 * 4**5
-    assert v.to_float() == pytest.approx(expect, rel=1e-12)
+    assert math.exp(v) == pytest.approx(expect, rel=1e-12)
     # r >= l(1-1/e): (l/(l-r))^(l-r) tail
     v = f_piecewise(10, 6, 5)
     expect = 6**1 * 7**3 * 4**3
-    assert v.to_float() == pytest.approx(expect, rel=1e-12)
+    assert math.exp(v) == pytest.approx(expect, rel=1e-12)
 
 
 def test_f_dominates_exact_extension_count():
@@ -120,7 +122,7 @@ def test_f_dominates_exact_extension_count():
     for k in range(3, 7):
         for l in range(2, k):
             for r in range(l):
-                f = f_piecewise(k, l, r).to_float()
+                f = math.exp(f_piecewise(k, l, r))
                 worst = max(
                     count_trees_extending_forest(k, forest, l)
                     for forest in enumerate_forests(l, r)
@@ -190,6 +192,19 @@ def test_bounds_hold_small_grid():
         for l in range(2, k + 1):
             report = validate_overlap_bounds(k, l)
             assert report.all_ok, f"violation at k={k}, l={l}"
+
+
+def test_overlap_bound_rows_pinned():
+    # SHA-256 of every BoundRow for 2 <= l <= k <= 6 (floats by repr, so
+    # bit-exact), recorded with the earlier LogReal-based f_piecewise
+    rows = [
+        dataclasses.astuple(validate_overlap_bounds(k, l))
+        for k in range(2, 7)
+        for l in range(2, k + 1)
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "321106d5cce1aa675f7986b9f67f9e376c2b4a6594c0603f6dccdfd07ec82913"
+    )
 
 
 def test_bound_row_shapes():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -6,22 +7,20 @@ import pytest
 
 from indtrees.experiments import (
     ConfigError,
-
     ExperimentConfig,
     PRule,
     SolverSpec,
     TrialRecord,
     concentration_report,
-    count_induced_k_trees,
     export_csv,
     export_json,
     import_csv,
-    monte_carlo_tree_count,
     run_experiment,
 )
-from indtrees.graphs import complete_graph, sample_gnp
+from indtrees.graphs import complete_graph, path_graph, sample_gnp
 from indtrees.rng import Seed
 from indtrees.solver import max_induced_tree
+from oracles import count_induced_k_trees, monte_carlo_tree_count
 
 
 def small_config(**overrides):
@@ -58,6 +57,8 @@ def test_config_validation():
         small_config(p_rule=PRule("constant", 1.5)).validate()
     with pytest.raises(ConfigError):
         small_config(solver=SolverSpec("magic")).validate()
+    with pytest.raises(ConfigError, match="n >= 2"):
+        small_config(p_rule=PRule("reciprocal_log", 0.5), n_values=(1,)).validate()
 
 
 def test_config_warns_outside_theorem_range():
@@ -210,6 +211,25 @@ def test_canonical_export_byte_identical(tmp_path):
     export_json(run_experiment(cfg), j1)
     export_json(run_experiment(cfg, workers=2), j2)
     assert j1.read_bytes() == j2.read_bytes()
+    # SHA-256 of records.csv and result.json, recorded with the earlier
+    # LogReal-based code, for one exact and one greedy config
+    greedy = small_config(solver=SolverSpec("greedy", restarts=5), trials=6, n_values=(10, 14))
+    pinned = {
+        cfg: (
+            "86f9548cf0c1786cfda3030d26d7c03bad54278acb37f4cf188087f60f47eaae",
+            "22e7e81aecd4c39f72d97adc2aa034c13ed2f574ced02176e234c28b4ea346d6",
+        ),
+        greedy: (
+            "50e7f2f12468efd88802a28d311a4e7c0db78f6ec6ba0892c376b2168b061063",
+            "702804f7386be7a50beb99ebb621a2e44adae3497cd8f28aa70c38615fceff90",
+        ),
+    }
+    for config, (csv_sha, json_sha) in pinned.items():
+        result = run_experiment(config)
+        export_csv(result.records, p1)
+        export_json(result, j1)
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(j1.read_bytes()).hexdigest() == json_sha
 
 
 # --- sampling oracle for the expectation formula -----------------------------
@@ -228,8 +248,6 @@ def test_monte_carlo_count_matches_direct_enumeration():
 
 
 def test_count_induced_k_trees_examples():
-    from indtrees.graphs import path_graph
-
     assert count_induced_k_trees(path_graph(5), 3) == 3  # the 3 sub-paths
     assert count_induced_k_trees(complete_graph(5), 2) == 10  # every edge
     assert count_induced_k_trees(complete_graph(5), 3) == 0  # all triangles

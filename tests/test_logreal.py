@@ -8,96 +8,47 @@ from indtrees.logreal import LogReal, log_sum_exp, pow_log
 finite = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
-nonzero = finite.filter(lambda x: abs(x) > 1e-300)
+positive = st.floats(min_value=1e-300, max_value=1e300)
 
 
 def test_zero_and_one():
-    assert LogReal.zero().to_float() == 0.0
-    assert LogReal.one().to_float() == 1.0
-    assert LogReal.zero().is_zero()
-    assert LogReal.from_float(0.0).sign == 0
-    assert LogReal.from_float(0.0).logmag == -math.inf
-
-
-def test_sign_validation():
-    with pytest.raises(ValueError):
-        LogReal(2, 0.0)
-    with pytest.raises(ValueError):
-        LogReal(1, math.nan)
+    assert LogReal(-math.inf).to_float() == 0.0
+    assert LogReal(0.0).to_float() == 1.0
 
 
 def test_from_float_round_trip():
-    for x in (1.0, -1.0, 2.5, -1e300, 1e-300, 123456.789):
-        assert LogReal.from_float(x).to_float() == pytest.approx(x, rel=1e-13)
+    for x in (1.0, 2.5, 1e300, 1e-300, 123456.789):
+        assert LogReal(math.log(x)).to_float() == pytest.approx(x, rel=1e-13)
 
 
 def test_huge_values_stay_finite_in_log_domain():
-    big = LogReal.exp(1e6)  # e**1e6 overflows floats
-    sq = big * big
-    assert sq.logmag == 2e6
-    assert sq.to_float() == math.inf  # only the conversion saturates
+    big = LogReal(2e6)  # e**2e6 overflows floats
+    assert big.logmag == 2e6
+    assert big.to_float() == math.inf  # only the conversion saturates
 
 
-@given(nonzero, nonzero)
-def test_mul_div_inverse(a, b):
-    x = LogReal.from_float(a)
-    y = LogReal.from_float(b)
-    z = (x * y) / y
-    assert z.sign == x.sign
-    assert z.logmag == pytest.approx(x.logmag, abs=1e-12)
+# log_sum_exp is the log-domain addition every variance-bound sum goes through
 
 
 @given(finite, finite)
 def test_add_commutative(a, b):
-    x, y = LogReal.from_float(a), LogReal.from_float(b)
-    assert (x + y).sign == (y + x).sign
-    l1, l2 = (x + y).logmag, (y + x).logmag
-    assert l1 == l2 or l1 == pytest.approx(l2, abs=1e-12)
+    assert log_sum_exp([a, b]) == log_sum_exp([b, a])
+
+
+@given(positive, positive)
+def test_add_monotone(a, b):
+    s = log_sum_exp([math.log(a), math.log(b)])
+    assert s >= math.log(a)
+    assert s >= math.log(b)
 
 
 @given(
-    st.floats(min_value=1e-6, max_value=1e6),
-    st.floats(min_value=1e-6, max_value=1e6),
+    st.floats(min_value=1e-100, max_value=1e100),
+    st.floats(min_value=1e-100, max_value=1e100),
 )
-def test_add_monotone(a, b):
-    x, y = LogReal.from_float(a), LogReal.from_float(b)
-    assert x + y >= x
-    assert x + y >= y
-
-
-@given(nonzero, nonzero)
-def test_sub_of_self_is_zero(a, b):
-    x = LogReal.from_float(a)
-    assert (x - x).is_zero()
-
-
-@given(st.floats(min_value=-100, max_value=100), st.floats(min_value=-100, max_value=100))
 def test_add_matches_float(a, b):
-    got = (LogReal.from_float(a) + LogReal.from_float(b)).to_float()
-    assert got == pytest.approx(a + b, rel=1e-9, abs=1e-9)
-
-
-def test_comparisons():
-    assert LogReal.from_float(-5) < LogReal.from_float(-1) < LogReal.zero()
-    assert LogReal.zero() < LogReal.from_float(1) < LogReal.from_float(5)
-    assert LogReal.from_float(3) >= LogReal.from_float(3)
-
-
-def test_pow_conventions():
-    assert LogReal.zero().powi(0).to_float() == 1.0  # 0**0 == 1
-    assert LogReal.zero().powi(3).to_float() == 0.0
-    with pytest.raises(ZeroDivisionError):
-        LogReal.zero().powi(-1)
-    assert LogReal.from_float(-2).powi(3).to_float() == pytest.approx(-8.0)
-    assert LogReal.from_float(-2).powi(2).to_float() == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        LogReal.from_float(-2).powi(0.5)
-    assert LogReal.from_float(2.0).powi(10).to_float() == pytest.approx(1024.0)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        LogReal.one() / LogReal.zero()
+    got = math.exp(log_sum_exp([math.log(a), math.log(b)]))
+    assert got == pytest.approx(a + b, rel=1e-12)
 
 
 def test_log_sum_exp():
@@ -108,11 +59,15 @@ def test_log_sum_exp():
     assert log_sum_exp([1e6, 1e6]) == pytest.approx(1e6 + math.log(2))
 
 
-def test_pow_log():
-    assert pow_log(0.0, 0.0) == 0.0
-    assert pow_log(0.0, 2.0) == -math.inf
+def test_pow_conventions():
+    assert pow_log(0.0, 0.0) == 0.0  # 0**0 == 1
+    assert pow_log(0.0, 2.0) == -math.inf  # 0**2 == 0
     with pytest.raises(ZeroDivisionError):
         pow_log(0.0, -1.0)
+
+
+def test_pow_log():
     with pytest.raises(ValueError):
         pow_log(-1.0, 2.0)
     assert pow_log(2.0, 10.0) == pytest.approx(10 * math.log(2))
+    assert pow_log(1.5, 0.0) == 0.0
