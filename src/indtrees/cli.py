@@ -9,11 +9,11 @@ import sys
 from pathlib import Path
 
 from .counting import (
+    MAX_FOREST_L,
     MAX_OVERLAP_K,
     cayley,
     count_forests,
     count_forests_enumerated,
-    count_overlap_pairs,
     rooted_forest_count_closed_form,
     rooted_forest_count_enumerated,
     validate_overlap_bounds,
@@ -75,13 +75,13 @@ def _bound_rows_json(report) -> list[dict]:
 
 
 def _cmd_oracle_overlap(args) -> int:
-    table = count_overlap_pairs(args.k, args.l)
     report = validate_overlap_bounds(args.k, args.l)
+    total = sum(row.n_total for row in report.rows)
     print(f"pairs of trees on two {args.k}-sets sharing {args.l} vertices")
     print(f"{'r':>3} {'N(k,l,r)':>14} {'matching':>14}")
-    for r in range(args.l):
-        print(f"{r:>3} {table.pairs_total[r]:>14} {table.pairs_matching[r]:>14}")
-    print(f"sum {table.total():>14}  (= (k^(k-2))^2 = {table.total()})")
+    for row in report.rows:
+        print(f"{row.r:>3} {row.n_total:>14} {row.n_matching:>14}")
+    print(f"sum {total:>14}  (= (k^(k-2))^2 = {total})")
     print(
         json.dumps(
             {"k": args.k, "l": args.l, "rows": _bound_rows_json(report)}
@@ -91,6 +91,8 @@ def _cmd_oracle_overlap(args) -> int:
 
 
 def _cmd_oracle_forests(args) -> int:
+    if not (1 <= args.l <= MAX_FOREST_L):
+        raise ValueError(f"l must be in [1, {MAX_FOREST_L}], got {args.l}")
     counts = [count_forests(args.l, r).value for r in range(args.l)]
     print(f"labeled forests on {args.l} vertices by edge count")
     for r, v in enumerate(counts):
@@ -103,8 +105,8 @@ def _cmd_oracle_forests(args) -> int:
 def _cmd_oracle_validate(args) -> int:
     """Overlap bounds and partition for k <= kmax, forest counts for l <= 7 and
     rooted-forest counts for n <= 6, each against exact enumeration."""
-    if args.kmax > MAX_OVERLAP_K:
-        raise ValueError(f"--kmax must be at most {MAX_OVERLAP_K}, got {args.kmax}")
+    if not (2 <= args.kmax <= MAX_OVERLAP_K):
+        raise ValueError(f"--kmax must be in [2, {MAX_OVERLAP_K}], got {args.kmax}")
     all_ok = True
     payload = []
     for k in range(2, args.kmax + 1):
@@ -161,15 +163,16 @@ def _cmd_moments_varbound(args) -> int:
 
 def _cmd_experiment_run(args) -> int:
     try:
-        config = ExperimentConfig.from_json(args.config)
-        config.validate()
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 3
+        try:
+            config = ExperimentConfig.from_json(args.config)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return 3
+        # run_experiment validates the config, and warns, before any trial
+        result = run_experiment(config, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    result = run_experiment(config, workers=args.workers)
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

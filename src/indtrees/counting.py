@@ -11,12 +11,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .graphs import forest_components
 from .logreal import pow_log
 
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
-MAX_OVERLAP_K = 6  # (k^(k-2))^2 pairs; 1296^2 ~ 1.7M at k=6
+MAX_OVERLAP_K = 7  # 7^5 = 16807 trees per family; the l=7 transform spans 36961 forests
 MAX_FOREST_L = 9
+_PRUFER_BATCH = 1024  # Prüfer sequences decoded per numpy step
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
@@ -28,42 +31,13 @@ def cayley(k: int) -> int:
     return 1 if k <= 2 else k ** (k - 2)
 
 
-def _decode_prufer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
-    deg = [1] * k
-    for x in seq:
-        deg[x] += 1
-    edges = []
-    ptr = 0
-    leaf = -1
-    for v in seq:
-        if leaf == -1:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        deg[leaf] -= 1
-        deg[v] -= 1
-        if deg[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    # two vertices of degree 1 remain
-    u = leaf
-    if u == -1:
-        while deg[ptr] != 1:
-            ptr += 1
-        u = ptr
-    w = -1
-    for x in range(u + 1, k):
-        if deg[x] == 1:
-            w = x
-    edges.append((u, w))
-    edges.sort()
-    return tuple(edges)
-
-
 def enumerate_labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield each labeled tree on {0..k-1} exactly once, as a sorted edge tuple."""
+    """Yield each labeled tree on {0..k-1} exactly once, as a sorted edge tuple.
+
+    Trees come in the itertools.product order of their Prüfer sequences,
+    decoded _PRUFER_BATCH sequences at a time: each of the k-2 steps joins
+    every row's lowest degree-1 vertex to the row's next sequence entry.
+    """
     if not (1 <= k <= MAX_TREE_K):
         raise ValueError(f"k must be in [1, {MAX_TREE_K}], got {k}")
     if k == 1:
@@ -72,8 +46,32 @@ def enumerate_labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if k == 2:
         yield ((0, 1),)
         return
-    for seq in itertools.product(range(k), repeat=k - 2):
-        yield _decode_prufer(seq, k)
+    pairs = np.empty(k * k, dtype=object)  # edge code u*k + v -> (u, v)
+    pairs[:] = [(u, v) for u in range(k) for v in range(k)]
+    powers = k ** np.arange(k - 3, -1, -1)
+    total = k ** (k - 2)
+    for start in range(0, total, _PRUFER_BATCH):
+        seq = np.arange(start, min(start + _PRUFER_BATCH, total))[:, None] // powers % k
+        rows = len(seq)
+        base = np.arange(rows) * k  # row offsets into the flattened degrees
+        deg = np.bincount((base[:, None] + seq).ravel(), minlength=rows * k)
+        deg = (deg + 1).astype(np.int8).reshape(rows, k)
+        flat = deg.reshape(-1)
+        codes = np.empty((rows, k - 1), dtype=np.uint8)
+        for i in range(k - 2):
+            leaf = np.argmax(deg == 1, axis=1)
+            v = seq[:, i]
+            codes[:, i] = np.minimum(leaf, v) * k + np.maximum(leaf, v)
+            flat[base + leaf] = 0
+            flat[base + v] -= 1
+        # the last edge joins the two vertices of degree 1 that remain
+        ones = deg == 1
+        first = np.argmax(ones, axis=1)
+        last = k - 1 - np.argmax(ones[:, ::-1], axis=1)
+        codes[:, k - 2] = first * k + last
+        codes.sort(axis=1)  # code order is (u, v) order
+        edges = pairs[codes].ravel().tolist()
+        yield from zip(*[iter(edges)] * (k - 1))  # each row's k-1 edges as a tuple
 
 
 @dataclass(frozen=True)
@@ -198,24 +196,45 @@ def _restriction_masks(k: int, l: int) -> tuple[dict[int, int], dict[int, int]]:
     return hist_a, hist_b
 
 
-def count_overlap_pairs(k: int, l: int) -> OverlapTable:
-    """Exact N(k, l, r) for all r, from one pass over each Prüfer stream.
+def _superset_sums(hist: dict[int, int], bits: int) -> dict[int, int]:
+    """Map each subset S of a key of hist to the sum of hist over the keys
+    containing S (the zeta transform), one bit at a time.
 
-    Each family's restriction-to-shared-vertices forest is histogrammed, then
-    pair counts follow by combining histogram cells; identical to the naive
-    double loop over all pairs but without materializing it.
+    The keys here are forests on the shared set, and every subset of a forest
+    is a forest, so the result is keyed by forest masks only."""
+    sums = dict(hist)
+    for i in range(bits):
+        bit = 1 << i
+        for mask in [m for m in sums if m & bit]:
+            sums[mask ^ bit] = sums.get(mask ^ bit, 0) + sums[mask]
+    return sums
+
+
+def count_overlap_pairs(k: int, l: int) -> OverlapTable:
+    """Exact N(k, l, r) for all r, from one pass over the Prüfer stream.
+
+    With a(S), b(S) the numbers of trees in each family whose restriction
+    contains the edge set S, G(j) = sum over |S| = j of a(S) b(S) counts each
+    pair sharing r edges C(r, j) times, so N(k, l, r) follows from G by
+    binomial inversion (superset sums, as in Björklund-Husfeldt-Kaski-Koivisto
+    subset convolution). Matching pairs pair equal restrictions directly.
     """
     if not (2 <= l <= k <= MAX_OVERLAP_K):
         raise ValueError(f"need 2 <= l <= k <= {MAX_OVERLAP_K}, got k={k}, l={l}")
     hist_a, hist_b = _restriction_masks(k, l)
-    total = [0] * l
+    bits = l * (l - 1) // 2
+    a = _superset_sums(hist_a, bits)
+    b = _superset_sums(hist_b, bits)
+    g = [0] * l  # G(j); a forest on l vertices has at most l-1 edges
+    for mask, count in a.items():
+        g[mask.bit_count()] += count * b.get(mask, 0)
+    total = [
+        sum((-1) ** (j - r) * math.comb(j, r) * g[j] for j in range(r, l))
+        for r in range(l)
+    ]
     matching = [0] * l
-    for m1, c1 in hist_a.items():
-        for m2, c2 in hist_b.items():
-            r = (m1 & m2).bit_count()
-            total[r] += c1 * c2
-            if m1 == m2:
-                matching[r] += c1 * c2
+    for mask, count in hist_a.items():
+        matching[mask.bit_count()] += count * hist_b.get(mask, 0)
     return OverlapTable(k, l, tuple(total), tuple(matching))
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from indtrees.counting import enumerate_labeled_trees
+from indtrees.counting import OverlapTable, _restriction_masks, enumerate_labeled_trees
 from indtrees.graphs import Graph, _sample_pair_index, induced_subgraph, is_tree
 from indtrees.rng import Seed
 
@@ -58,3 +58,58 @@ def count_induced_k_trees(g: Graph, k: int) -> int:
         for s in itertools.combinations(range(g.n), k)
         if is_tree(induced_subgraph(g, s))
     )
+
+
+def _decode_prufer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
+    deg = [1] * k
+    for x in seq:
+        deg[x] += 1
+    edges = []
+    ptr = 0
+    leaf = -1
+    for v in seq:
+        if leaf == -1:
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        deg[leaf] -= 1
+        deg[v] -= 1
+        if deg[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = -1
+    # two vertices of degree 1 remain
+    u = leaf
+    if u == -1:
+        while deg[ptr] != 1:
+            ptr += 1
+        u = ptr
+    w = -1
+    for x in range(u + 1, k):
+        if deg[x] == 1:
+            w = x
+    edges.append((u, w))
+    edges.sort()
+    return tuple(edges)
+
+
+def prufer_trees(k: int):
+    """Labeled trees on {0..k-1} (k >= 3), one linear-time scalar Prüfer
+    decode per sequence, in itertools.product order."""
+    for seq in itertools.product(range(k), repeat=k - 2):
+        yield _decode_prufer(seq, k)
+
+
+def count_overlap_pairs_pairwise(k: int, l: int) -> OverlapTable:
+    """N(k, l, r) by combining every pair of restriction-histogram cells."""
+    hist_a, hist_b = _restriction_masks(k, l)
+    total = [0] * l
+    matching = [0] * l
+    for m1, c1 in hist_a.items():
+        for m2, c2 in hist_b.items():
+            r = (m1 & m2).bit_count()
+            total[r] += c1 * c2
+            if m1 == m2:
+                matching[r] += c1 * c2
+    return OverlapTable(k, l, tuple(total), tuple(matching))

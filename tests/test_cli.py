@@ -1,10 +1,15 @@
 import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import indtrees
-from indtrees import cli
+from indtrees import cli, counting
 from indtrees.cli import main
 from indtrees.experiments import THETA_UPPER
 from indtrees.graphs import read_graph
@@ -60,6 +65,34 @@ def test_oracle_overlap_json(capsys):
     assert doc["k"] == 4 and doc["l"] == 3
     assert sum(row["N"] for row in doc["rows"]) == 16**2
     assert all(row["ok"] for row in doc["rows"])
+
+
+def test_oracle_overlap_stdout_pinned(capsys):
+    # SHA-256 of the stdout of every cell 2 <= l <= k <= 6, recorded when the
+    # table was counted separately from the bound report
+    out = ""
+    for k in range(2, 7):
+        for l in range(2, k + 1):
+            code, cell_out, _ = run_cli(capsys, "oracle", "overlap", "--k", str(k), "--l", str(l))
+            assert code == 0
+            out += cell_out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc0cb8c2e135d00ab12cf792d1f11707acbff5f7e3fa17b79f9aefe67bce1a9f"
+    )
+
+
+def test_oracle_overlap_counts_table_once(capsys, monkeypatch):
+    calls = []
+    count = counting.count_overlap_pairs
+
+    def counted(k, l):
+        calls.append((k, l))
+        return count(k, l)
+
+    monkeypatch.setattr(counting, "count_overlap_pairs", counted)
+    monkeypatch.setattr(cli, "count_overlap_pairs", counted, raising=False)
+    code, _, _ = run_cli(capsys, "oracle", "overlap", "--k", "5", "--l", "3")
+    assert code == 0 and calls == [(5, 3)]
 
 
 def test_oracle_forests(capsys):
@@ -191,12 +224,14 @@ def test_oracle_validate_forest_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_oracle_range_errors_leave_stdout_empty(capsys):
-    code, out, err = run_cli(capsys, "oracle", "validate", "--kmax", "9")
-    assert code == 2 and out == ""
-    assert_one_line_error(err, "indtrees oracle:", "kmax")
-    code, out, err = run_cli(capsys, "oracle", "forests", "--l", "12")
-    assert code == 2 and out == ""
-    assert_one_line_error(err, "indtrees oracle:", "l must be in")
+    for kmax in ("9", "1", "0", "-3"):
+        code, out, err = run_cli(capsys, "oracle", "validate", "--kmax", kmax)
+        assert code == 2 and out == ""
+        assert_one_line_error(err, "indtrees oracle:", "kmax")
+    for l in ("12", "0", "-1"):
+        code, out, err = run_cli(capsys, "oracle", "forests", "--l", l)
+        assert code == 2 and out == ""
+        assert_one_line_error(err, "indtrees oracle:", "l must be in")
 
 
 def _write_config(path, **fields):
@@ -257,3 +292,18 @@ def test_public_api_and_help(capsys):
             sub_help = capsys.readouterr().out
             for leaf in action.choices:
                 assert leaf in sub_help
+
+
+def test_experiment_run_warns_once(tmp_path):
+    # a fresh interpreter, so stderr shows warnings as a user sees them
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, trials=2, p_rule={"kind": "power", "value": 0.5})
+    env = dict(os.environ, PYTHONPATH=str(Path(indtrees.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "indtrees.cli", "experiment", "run",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("outside the diagnostic range") == 1

@@ -19,6 +19,7 @@ from indtrees.counting import (
     validate_overlap_bounds,
 )
 from indtrees.graphs import Graph, is_tree
+from oracles import count_overlap_pairs_pairwise, prufer_trees
 
 
 # --- labeled tree enumeration ------------------------------------------------
@@ -37,6 +38,20 @@ def test_enumeration_yields_distinct_trees():
             assert is_tree(Graph(k, edges))
             assert all(u < v for (u, v) in edges)
         assert len(seen) == cayley(k)
+
+
+def test_batch_stream_matches_scalar_decoder():
+    # same tuples in the same order; k=7 spans 17 batches
+    for k in range(3, 8):
+        assert list(enumerate_labeled_trees(k)) == list(prufer_trees(k))
+
+
+def test_k8_stream_pinned():
+    # SHA-256 of the k=8 stream, recorded with the scalar decoder
+    stream = "".join(map(repr, enumerate_labeled_trees(8)))
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "0563e0775da398baaa11e5015af03a5d37273b7899437021c98a136ff97a3961"
+    )
 
 
 def test_enumeration_matches_direct_scan():
@@ -166,6 +181,18 @@ def test_overlap_matches_double_loop_oracle():
             total, matching = _overlap_oracle(k, l)
             assert list(table.pairs_total) == total
             assert list(table.pairs_matching) == matching
+
+
+def test_superset_sums_match_pairwise_loop():
+    for k in range(2, 7):
+        for l in range(2, k + 1):
+            assert count_overlap_pairs(k, l) == count_overlap_pairs_pairwise(k, l)
+
+
+@pytest.mark.parametrize("l", range(2, 8))
+def test_overlap_k7_partition_and_bounds(l):
+    assert count_overlap_pairs(7, l).total() == 16807**2
+    assert validate_overlap_bounds(7, l).all_ok
 
 
 def test_overlap_partition_small():
