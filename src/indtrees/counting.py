@@ -175,25 +175,26 @@ class OverlapTable:
         return sum(self.pairs_total)
 
 
-def _restriction_masks(k: int, l: int) -> tuple[dict[int, int], dict[int, int]]:
-    # Tree family A lives on {0..k-1} with shared vertices {k-l..k-1};
-    # family B on {k-l..2k-l-1} with shared vertices {k-l..k-1}, enumerated as
-    # trees on {0..k-1} whose first l labels are the shared ones.
+def _restriction_masks(k: int, l: int) -> dict[int, int]:
+    """Histogram of the edge masks that the trees on {0..k-1} induce on {0..l-1}.
+
+    In the overlap pairs, family A lives on {0..k-1} with shared vertices
+    {k-l..k-1}, and family B on {k-l..2k-l-1} with the same shared vertices,
+    enumerated as trees on {0..k-1} whose first l labels are the shared ones.
+    Relabeling v -> (v + l) mod k is a bijection of the trees on {0..k-1}
+    that maps {k-l..k-1} onto {0..l-1} in order, so it carries family A's
+    restriction of each tree onto family B's restriction of its image: both
+    families have this one histogram.
+    """
     pair_bit = {p: i for i, p in enumerate(itertools.combinations(range(l), 2))}
-    hist_a: dict[int, int] = {}
-    hist_b: dict[int, int] = {}
-    shift = k - l
+    hist: dict[int, int] = {}
     for tree in enumerate_labeled_trees(k):
-        mask_a = 0
-        mask_b = 0
+        mask = 0
         for (u, v) in tree:
-            if u >= shift:
-                mask_a |= 1 << pair_bit[(u - shift, v - shift)]
             if v < l:
-                mask_b |= 1 << pair_bit[(u, v)]
-        hist_a[mask_a] = hist_a.get(mask_a, 0) + 1
-        hist_b[mask_b] = hist_b.get(mask_b, 0) + 1
-    return hist_a, hist_b
+                mask |= 1 << pair_bit[(u, v)]
+        hist[mask] = hist.get(mask, 0) + 1
+    return hist
 
 
 def _superset_sums(hist: dict[int, int], bits: int) -> dict[int, int]:
@@ -213,28 +214,26 @@ def _superset_sums(hist: dict[int, int], bits: int) -> dict[int, int]:
 def count_overlap_pairs(k: int, l: int) -> OverlapTable:
     """Exact N(k, l, r) for all r, from one pass over the Prüfer stream.
 
-    With a(S), b(S) the numbers of trees in each family whose restriction
-    contains the edge set S, G(j) = sum over |S| = j of a(S) b(S) counts each
+    Both tree families restrict to the shared set with the same histogram
+    (see _restriction_masks). With a(S) the number of trees whose restriction
+    contains the edge set S, G(j) = sum over |S| = j of a(S)^2 counts each
     pair sharing r edges C(r, j) times, so N(k, l, r) follows from G by
     binomial inversion (superset sums, as in Björklund-Husfeldt-Kaski-Koivisto
     subset convolution). Matching pairs pair equal restrictions directly.
     """
     if not (2 <= l <= k <= MAX_OVERLAP_K):
         raise ValueError(f"need 2 <= l <= k <= {MAX_OVERLAP_K}, got k={k}, l={l}")
-    hist_a, hist_b = _restriction_masks(k, l)
-    bits = l * (l - 1) // 2
-    a = _superset_sums(hist_a, bits)
-    b = _superset_sums(hist_b, bits)
+    hist = _restriction_masks(k, l)
     g = [0] * l  # G(j); a forest on l vertices has at most l-1 edges
-    for mask, count in a.items():
-        g[mask.bit_count()] += count * b.get(mask, 0)
+    for mask, count in _superset_sums(hist, l * (l - 1) // 2).items():
+        g[mask.bit_count()] += count * count
     total = [
         sum((-1) ** (j - r) * math.comb(j, r) * g[j] for j in range(r, l))
         for r in range(l)
     ]
     matching = [0] * l
-    for mask, count in hist_a.items():
-        matching[mask.bit_count()] += count * hist_b.get(mask, 0)
+    for mask, count in hist.items():
+        matching[mask.bit_count()] += count * count
     return OverlapTable(k, l, tuple(total), tuple(matching))
 
 

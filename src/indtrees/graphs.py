@@ -1,4 +1,5 @@
-"""Simple undirected graphs on [n] with bitset adjacency rows, and G(n,p) sampling."""
+"""Simple undirected graphs on [n] stored as sorted edge pair indices, with
+bitset adjacency rows built on first use, and G(n,p) sampling."""
 from __future__ import annotations
 
 import math
@@ -54,52 +55,45 @@ class VertexSet:
 
 
 class Graph:
-    """Immutable simple graph; adj[v] is the neighbor bitmask of v."""
+    """Immutable simple graph on [n], stored as the sorted lexicographic
+    indices of its edges (see _pair_index_bounds); adj[v], the neighbour
+    bitmask of v, is built on first use and cached."""
 
-    __slots__ = ("n", "adj", "_edge_count")
+    __slots__ = ("n", "_pairs", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if n > MAX_N:
-            raise ValueError(f"vertex count {n} exceeds supported maximum {MAX_N}")
-        adj = [0] * n
-        m = 0
-        for (u, v) in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if not (adj[u] >> v) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                m += 1
-        self.n = n
-        self.adj = tuple(adj)
-        self._edge_count = m
+        if not 0 <= n <= MAX_N:
+            raise ValueError(f"vertex count {n} outside [0, {MAX_N}]")
+        edges = list(edges)
+        # dtype inferred, not forced: a float, string or None endpoint, or an
+        # int past int64, is rejected rather than truncated
+        uv = np.array(edges) if edges else np.empty((0, 2), dtype=np.int64)
+        if uv.ndim != 2 or uv.shape[1] != 2 or uv.dtype.kind not in "biu":
+            raise ValueError("edges must be pairs (u, v) of integers")
+        us, vs = uv[:, 0], uv[:, 1]
+        bad = np.flatnonzero((us == vs) | (uv < 0).any(axis=1) | (uv >= n).any(axis=1))
+        if bad.size:
+            u, v = uv[bad[0]].tolist()
+            raise ValueError(f"edge ({u},{v}) is a self-loop or out of range for n={n}")
+        self.n, self._adj = n, None
+        self._pairs = _pair_index(n, us.astype(np.int64), vs.astype(np.int64))
 
     @classmethod
     def _from_pair_index(cls, n: int, idx: np.ndarray) -> "Graph":
-        """Graph from sorted, unique lexicographic pair indices; n <= MAX_N."""
-        starts = _pair_index_bounds(n)
-        us = np.searchsorted(starts, idx, side="right") - 1
-        vs = idx - starts[us] + us + 1
+        """Graph from sorted, unique int64 lexicographic pair indices; n <= MAX_N."""
         g = cls.__new__(cls)
-        g.n = n
-        g._edge_count = len(idx)
-        if len(idx) > _LOOP_EDGES:
-            g.adj = _adjacency_rows(n, us, vs)
-            return g
-        adj = [0] * n
-        for u, v in zip(us.tolist(), vs.tolist()):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        g.adj = tuple(adj)
+        g.n, g._pairs, g._adj = n, idx, None
         return g
 
     @property
+    def adj(self) -> tuple[int, ...]:
+        if self._adj is None:
+            self._adj = _adjacency_rows(self.n, self._pairs)
+        return self._adj
+
+    @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._pairs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -108,29 +102,36 @@ class Graph:
         return self.adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                low = m & -m
-                yield (u, low.bit_length() - 1)
-                m ^= low
+        """Edges (u, v), u < v, in lexicographic order."""
+        us, vs = _pair_endpoints(self.n, self._pairs)
+        return zip(us.tolist(), vs.tolist())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        if not isinstance(other, Graph):
+            return False
+        return self.n == other.n and np.array_equal(self._pairs, other._pairs)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self._pairs.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _adjacency_rows(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, ...]:
-    """Neighbour bitmasks from unique pairs u < v.
+def _adjacency_rows(n: int, idx: np.ndarray) -> tuple[int, ...]:
+    """Neighbour bitmasks of the graph on [n] with pair indices idx.
 
-    Each block of _ROW_BLOCK rows is ORed into a little-endian byte buffer and
+    Up to _LOOP_EDGES edges, a per-edge loop sets the bits. Beyond that, each
+    block of _ROW_BLOCK rows is ORed into a little-endian byte buffer and
     converted row by row, so the n x n/8 bit matrix is never staged at once.
     """
+    us, vs = _pair_endpoints(n, idx)
+    if len(idx) <= _LOOP_EDGES:
+        adj = [0] * n
+        for u, v in zip(us.tolist(), vs.tolist()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
     width = (n + 7) // 8
     src = np.concatenate((us, vs)).astype(np.int32)
     dst = np.concatenate((vs, us)).astype(np.int32)
@@ -173,6 +174,20 @@ def _pair_index_bounds(n: int) -> np.ndarray:
     # row_start[u] = index of pair (u, u+1) in lexicographic pair order
     u = np.arange(n, dtype=np.int64)
     return u * n - u * (u + 1) // 2
+
+
+def _pair_index(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Sorted, unique pair indices of the int64 pairs {us[i], vs[i]}, us != vs."""
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    idx = np.sort(_pair_index_bounds(n)[lo] + (hi - lo - 1))
+    return idx[np.diff(idx, prepend=-1) != 0]
+
+
+def _pair_endpoints(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (us, vs), us < vs, with lexicographic pair indices idx."""
+    starts = _pair_index_bounds(n)
+    us = np.searchsorted(starts, idx, side="right") - 1
+    return us, idx - starts[us] + us + 1
 
 
 def _skip_gaps(u: np.ndarray, logq: float, m: int) -> np.ndarray:
@@ -233,16 +248,15 @@ def sample_gnp(n: int, p: float, seed: Seed) -> Graph:
 
 def induced_subgraph(g: Graph, s: VertexSet | Iterable[int]) -> Graph:
     """Subgraph induced by s, vertices relabeled in increasing original order."""
-    verts = sorted(s)
+    verts = sorted(set(s))
     if verts and (verts[0] < 0 or verts[-1] >= g.n):
         raise ValueError("vertex set member out of range")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for i, v in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if g.has_edge(v, verts[j]):
-                edges.append((i, j))
-    return Graph(len(verts), edges)
+    pos = np.full(g.n, -1, dtype=np.int64)  # new label of each kept vertex
+    pos[verts] = np.arange(len(verts))
+    us, vs = _pair_endpoints(g.n, g._pairs)
+    us, vs = pos[us], pos[vs]
+    keep = (us >= 0) & (vs >= 0)
+    return Graph._from_pair_index(len(verts), _pair_index(len(verts), us[keep], vs[keep]))
 
 
 def is_connected_set(g: Graph, mask: int) -> bool:
@@ -295,30 +309,6 @@ def is_forest(g: Graph) -> bool:
     return forest_components(g.n, g.edges()) is not None
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (u, v), u < v, in lexicographic order.
-
-    Rows are scanned a block at a time: nonzero 64-bit words, then their
-    nonzero bytes, then the set bits of those bytes.
-    """
-    row_bits = 64 * ((g.n + 63) // 64)
-    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for r0 in range(0, g.n, _ROW_BLOCK):
-        raw = b"".join(row.to_bytes(row_bits // 8, "little") for row in g.adj[r0:r0 + _ROW_BLOCK])
-        words = np.frombuffer(raw, dtype="<u8")
-        w = np.flatnonzero(words)
-        nonzero = words[w].view(np.uint8)
-        b = np.flatnonzero(nonzero)
-        bits = np.unpackbits(nonzero[b, None], axis=1, bitorder="little")
-        k, j = np.nonzero(bits)
-        pos = (w[b >> 3] * 64 + (b & 7) * 8)[k] + j
-        u, v = pos // row_bits + r0, pos % row_bits
-        upper = v > u
-        us.append(u[upper])
-        vs.append(v[upper])
-    return np.concatenate(us), np.concatenate(vs)
-
-
 def _edge_lines(n: int, us: np.ndarray, vs: np.ndarray) -> str:
     """The "u v\\n" lines for edges (us, vs), formatted by table lookup.
 
@@ -346,7 +336,7 @@ def write_graph(g: Graph, path_or_buf) -> None:
 
     Writes to a path, or to an open text stream such as sys.stdout.
     """
-    text = f"{g.n} {g.edge_count}\n" + _edge_lines(g.n, *_edge_arrays(g))
+    text = f"{g.n} {g.edge_count}\n" + _edge_lines(g.n, *_pair_endpoints(g.n, g._pairs))
     with open_output(path_or_buf, encoding="ascii") as fh:
         fh.write(text)
 
@@ -384,8 +374,7 @@ def read_graph(path) -> Graph:
     if bad.size:
         u, v = uv[bad[0]].tolist()
         raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
-    idx = np.sort(_pair_index_bounds(n)[us] + (vs - us - 1))
-    idx = idx[np.diff(idx, prepend=-1) != 0]
+    idx = _pair_index(n, us, vs)
     if idx.size != m:
         raise ValueError(f"header claims {m} edges, found {idx.size}")
     return Graph._from_pair_index(n, idx)

@@ -213,15 +213,6 @@ class PartitionPoints:
     w: float
     ordered: bool  # 2 <= ell_star <= k - w/p <= k - 1/(2p) <= k - 1
 
-    def clamps(self) -> dict[str, int]:
-        return {
-            "ell_star": math.floor(self.ell_star),
-            "k_minus_w_over_p": math.floor(self.k_minus_w_over_p),
-            "k_minus_half_p": math.floor(self.k_minus_half_p),
-            "ell_1": math.floor(self.ell_1),
-            "ell_2": math.floor(self.ell_2),
-        }
-
 
 def partition_points(n: int, p: float, k: float, w: float) -> PartitionPoints:
     """Boundaries of the four-part split of overlap sizes, plus the dense-regime ones."""
@@ -440,7 +431,8 @@ def variance_ratio_bound(
     Sparse regime (p < 1/(2 ln n)): the four-part split with the trivial,
     product, forest-count, and near-total-overlap bounds. Dense regime: the
     trivial bound up to ell_1, the product bound through ell_2's zone, and
-    the f0/f1 bound for the last O(1/p) overlaps.
+    the f0/f1 bound for the last O(1/p) overlaps. The part boundaries are
+    partition_points'; for integer ell, ell <= x is ell <= floor(x).
     """
     _check_p(p)
     if not (2 <= k <= n):
@@ -448,30 +440,25 @@ def variance_ratio_bound(
     sparse = p < 1 / (2 * log(n))
     w = log(n) ** w_exponent
     log_cnk = log_binom(n, k)
+    pts = partition_points(n, p, k, w)
     entries: list[tuple[str, int, float]] = []
 
     if sparse:
-        pts = partition_points(n, p, k, w)
-        b1 = pts.ell_star
-        b2 = math.floor(k - w / p)
-        b3 = k - 1 / (2 * p)
         for ell in range(2, k):
-            if ell <= b1:
+            if ell <= pts.ell_star:
                 entries.append(("part1", ell, _sparse_part1_log(n, p, k, ell)))
-            elif ell <= b2:
+            elif ell <= pts.k_minus_w_over_p:
                 entries.append(("part2", ell, _f_hat_log(n, p, k, ell, log_cnk)))
-            elif ell <= b3:
+            elif ell <= pts.k_minus_half_p:
                 entries.append(("part3", ell, _sparse_part3_log(n, p, k, ell, log_cnk)))
             else:
                 entries.append(("part4", ell, _sparse_part4_log(n, p, k, ell, log_cnk)))
         part_names = ("part1", "part2", "part3", "part4")
     else:
-        L = -log1p(-p)
-        ell_1 = (2 * log(n) - 16 * log(log(n))) / L
         cut = k - 2 * (1 - p) / p
         log_ex = log_expected_trees(n, p, k).logmag
         for ell in range(2, k):
-            if ell <= ell_1:
+            if ell <= pts.ell_1:
                 entries.append(("trivial", ell, _dense_trivial_log(n, p, k, ell, log_cnk)))
             elif ell <= cut:
                 entries.append(("product", ell, _f_hat_log(n, p, k, ell, log_cnk)))

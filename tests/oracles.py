@@ -51,6 +51,15 @@ def monte_carlo_tree_count(
     return mean, stderr
 
 
+def adjacency_rows(n: int, edges) -> tuple[int, ...]:
+    """Neighbour bitmasks on [n], one pair of bit operations per edge."""
+    adj = [0] * n
+    for (u, v) in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
 def count_induced_k_trees(g: Graph, k: int) -> int:
     """Direct count by subset enumeration; cross-check for the vectorized path."""
     return sum(
@@ -101,9 +110,25 @@ def prufer_trees(k: int):
         yield _decode_prufer(seq, k)
 
 
+def _shared_end_masks(k: int, l: int) -> dict[int, int]:
+    """Histogram of the edge masks that the trees on {0..k-1} induce on their
+    last l vertices {k-l..k-1}, relabeled to {0..l-1}: family A's restrictions."""
+    pair_bit = {p: i for i, p in enumerate(itertools.combinations(range(l), 2))}
+    shift = k - l
+    hist: dict[int, int] = {}
+    for tree in enumerate_labeled_trees(k):
+        mask = 0
+        for (u, v) in tree:
+            if u >= shift:
+                mask |= 1 << pair_bit[(u - shift, v - shift)]
+        hist[mask] = hist.get(mask, 0) + 1
+    return hist
+
+
 def count_overlap_pairs_pairwise(k: int, l: int) -> OverlapTable:
-    """N(k, l, r) by combining every pair of restriction-histogram cells."""
-    hist_a, hist_b = _restriction_masks(k, l)
+    """N(k, l, r) by combining every pair of restriction-histogram cells, with
+    family A's histogram built directly from the last l vertices of each tree."""
+    hist_a, hist_b = _shared_end_masks(k, l), _restriction_masks(k, l)
     total = [0] * l
     matching = [0] * l
     for m1, c1 in hist_a.items():

@@ -25,6 +25,7 @@ from indtrees.graphs import (
     write_graph,
 )
 from indtrees.rng import Seed
+from oracles import adjacency_rows
 
 
 def small_graphs():
@@ -61,6 +62,65 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1)
+
+
+# Graph(3, edges): the exception raised, or the edges and rows it builds.
+# No endpoint is truncated to an integer, as np.array(edges, dtype=np.int64) would.
+EITHER = (TypeError, ValueError)
+GRAPH_CONTRACT = [
+    ("float_vertex", lambda: [(0.5, 1)], EITHER),
+    ("integral_float", lambda: [(1.0, 2)], EITHER),
+    ("str_vertex", lambda: [("1", 2)], EITHER),
+    ("none_vertex", lambda: [(0, 1), (None, 1)], EITHER),
+    ("huge_vertex", lambda: [(2**70, 1)], ValueError),
+    ("past_int64", lambda: [(0, 1), (2**63, 1)], ValueError),
+    ("three_tuple", lambda: [(0, 1, 2)], ValueError),
+    ("ragged", lambda: [(0, 1), (0, 1, 2)], ValueError),
+    ("one_tuple", lambda: [(0,)], ValueError),
+    ("self_loop", lambda: [(0, 1), (2, 2)], ValueError),
+    ("vertex_eq_n", lambda: [(0, 3)], ValueError),
+    ("negative_vertex", lambda: [(-1, 1)], ValueError),
+    ("empty", lambda: [], []),
+    ("generator", lambda: ((u, u + 1) for u in range(2)), [(0, 1), (1, 2)]),
+    ("reversed_duplicates", lambda: [(2, 1), (1, 0), (0, 1), (1, 2)], [(0, 1), (1, 2)]),
+    ("numpy_ints", lambda: [(np.int64(2), np.int8(0))], [(0, 2)]),
+]
+
+
+@pytest.mark.parametrize("make_edges, outcome", [c[1:] for c in GRAPH_CONTRACT],
+                         ids=[c[0] for c in GRAPH_CONTRACT])
+def test_graph_constructor_contract(make_edges, outcome):
+    if not isinstance(outcome, list):
+        with pytest.raises(outcome):
+            Graph(3, make_edges())
+    else:
+        g = Graph(3, make_edges())
+        assert list(g.edges()) == outcome and g.edge_count == len(outcome)
+        assert g.adj == adjacency_rows(3, outcome)
+
+
+def test_constructors_give_equal_graphs_and_hashes(tmp_path):
+    path = tmp_path / "g.txt"
+    for n, p in [(30, 0.3), (1000, 0.01), (4200, 0.001)]:
+        g = sample_gnp(n, p, Seed(11, n))
+        write_graph(g, path)
+        h = read_graph(path)
+        f = Graph(n, [(v, u) for u, v in reversed(list(g.edges()))])
+        assert g == h == f and hash(g) == hash(h) == hash(f)
+        assert g.adj == f.adj == adjacency_rows(n, g.edges())
+
+
+@pytest.mark.parametrize("n, p", [(4200, 0.01), (16384, 0.0005)])
+def test_round_trip_builds_no_rows(monkeypatch, tmp_path, n, p):
+    def no_rows(*args):
+        raise AssertionError("adjacency rows built")
+
+    monkeypatch.setattr(graphs, "_adjacency_rows", no_rows)
+    g = sample_gnp(n, p, Seed(3, n))
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    h = read_graph(path)
+    assert g == h and h.edge_count == g.edge_count > 0
 
 
 def test_graph_deduplicates_and_symmetrizes():
@@ -268,9 +328,10 @@ def test_rows_from_pair_index_match_constructor(count):
     m = n * (n - 1) // 2
     idx = np.sort(np.random.default_rng(count).choice(m, size=count, replace=False))
     us, vs = np.triu_indices(n, 1)  # pairs in lexicographic order
-    pairs = zip(us[idx].tolist(), vs[idx].tolist())
+    pairs = list(zip(us[idx].tolist(), vs[idx].tolist()))
     g = Graph._from_pair_index(n, idx)
-    assert g == Graph(n, pairs) and g.edge_count == count
+    assert g.adj == adjacency_rows(n, pairs) and g.edge_count == count
+    assert Graph(n, pairs) == g
 
 
 @pytest.mark.parametrize("n, p, seed", [(2000, 0.01, Seed(41)), (6000, 0.003, Seed(42))])
@@ -310,6 +371,15 @@ def test_sample_edge_count_and_degree_distribution(n, p, seed):
 @given(small_graphs())
 def test_induced_full_is_identity(g):
     assert induced_subgraph(g, range(g.n)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.integers(0, 2**9 - 1))
+def test_induced_subgraph_matches_pairwise_scan(g, mask):
+    verts = [v for v in range(g.n) if (mask >> v) & 1]
+    pairs = [(i, j) for j in range(len(verts)) for i in range(j)
+             if g.has_edge(verts[i], verts[j])]
+    assert induced_subgraph(g, VertexSet.of(verts)) == Graph(len(verts), pairs)
 
 
 @settings(max_examples=60, deadline=None)

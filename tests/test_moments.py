@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -203,8 +204,6 @@ def test_partition_points_ordered_in_sparse_regime():
     pts = partition_points(n, p, k, math.log(n) ** 0.25)
     assert pts.ordered
     assert 2 <= pts.ell_star <= pts.k_minus_w_over_p <= pts.k_minus_half_p <= k - 1
-    clamps = pts.clamps()
-    assert clamps["ell_star"] == math.floor(pts.ell_star)
 
 
 def test_profile_fields_consistent():
@@ -277,6 +276,27 @@ def test_variance_bound_structure_dense():
     assert set(vb.part_log_sums) <= {"trivial", "product", "tail"}
     ells = [ell for (_, ell, _) in vb.entries]
     assert ells == list(range(2, k))
+
+
+# SHA-256 of repr(variance_ratio_bound(n, p, k).entries), floats by repr, at
+# criterion 7's three cells (1e30 is in the dense regime) and one more dense
+# cell, recorded before the part boundaries were read from partition_points
+PINNED_ENTRIES = {
+    10**30: "96748b07154f6bd082262dba2b54d81a0a79488e6b83bf972eb77b02c2505fe5",
+    10**40: "b0c510f39376e2601cc33ca434874fc374beaafecc590b77b7746b594cbc6adc",
+    10**50: "ef12dc95e8b7f342392753af37534a0e1a606a0d9978ece0afaf076129531a4c",
+}
+
+
+@pytest.mark.parametrize(
+    "cell, sha",
+    [(criterion7_cell(n), sha) for n, sha in PINNED_ENTRIES.items()]
+    + [((10**5, 0.2, 99), "aa49d0b33189c7d6a09890a7fdbc71a657e965a9ee1ab988a18e12e17eb7d56a")],
+    ids=["1e30", "1e40", "1e50", "dense-1e5"],
+)
+def test_variance_bound_entries_pinned(cell, sha):
+    vb = variance_ratio_bound(*cell)
+    assert hashlib.sha256(repr(vb.entries).encode()).hexdigest() == sha
 
 
 def test_variance_bound_rejects_bad_k():
