@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from typing import ContextManager, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -16,6 +17,7 @@ _GEOMETRIC_SKIP_THRESHOLD = 4096  # above this, sample sparse p by run-length sk
 _DRAW_BLOCK = 1 << 20  # uniforms per rng.random call in the sampler
 _ROW_BLOCK = 1024  # adjacency rows staged per byte buffer
 _LOOP_EDGES = 128  # up to this many edges, a per-edge loop builds rows faster than numpy
+_READ_LINES = 512  # lines read_graph splits at a time: fewer lists than gc's gen-0 trigger (700)
 
 
 @dataclass(frozen=True)
@@ -361,14 +363,19 @@ def read_graph(path) -> Graph:
     if not 0 <= n <= MAX_N:
         raise ValueError(f"vertex count {n} outside [0, {MAX_N}]")
     lines = body.split("\n")
-    per_line = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    bad = np.flatnonzero((per_line != 0) & (per_line != 2))
-    if bad.size:
-        raise ValueError(f"line {bad[0] + 2}: expected 'u v', got {lines[bad[0]]!r}")
-    try:
-        uv = np.array(body.split(), dtype=np.int64).reshape(-1, 2)  # int() per token
-    except OverflowError:
-        raise ValueError("vertex out of range") from None
+    pairs = []
+    for a in range(0, len(lines), _READ_LINES):  # each line split once
+        tokens = list(map(str.split, lines[a : a + _READ_LINES]))
+        per_line = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+        bad = np.flatnonzero((per_line != 0) & (per_line != 2))
+        if bad.size:
+            line = a + bad[0]
+            raise ValueError(f"line {line + 2}: expected 'u v', got {lines[line]!r}")
+        try:
+            pairs.append(np.array(list(chain.from_iterable(tokens)), dtype=np.int64))  # int() per token
+        except OverflowError:
+            raise ValueError("vertex out of range") from None
+    uv = np.concatenate(pairs).reshape(-1, 2)
     us, vs = uv[:, 0], uv[:, 1]
     bad = np.flatnonzero(~((0 <= us) & (us < vs) & (vs < n)))
     if bad.size:

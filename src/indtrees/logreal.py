@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
+
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -24,14 +29,22 @@ class LogReal:
 
 
 def log_sum_exp(logs) -> float:
-    """ln(sum(e**x for x in logs)); -inf on an empty input."""
-    logs = list(logs)
-    if not logs:
+    """ln(sum(e**x for x in logs)); -inf on an empty input.
+
+    One sum() over math.exp's terms, in order: numpy's exp and pairwise sum
+    would change the last bits, and a list and an array of the same values
+    must give the same result. The terms are made _BLOCK at a time.
+    """
+    x = logs if isinstance(logs, np.ndarray) else np.fromiter(logs, dtype=float)
+    if x.size == 0:
         return -math.inf
-    m = max(logs)
+    m = float(x.max())
     if m == -math.inf:
         return -math.inf
-    return m + math.log(sum(math.exp(x - m) for x in logs))
+    terms = chain.from_iterable(
+        map(math.exp, (x[a : a + _BLOCK] - m).tolist()) for a in range(0, x.size, _BLOCK)
+    )
+    return m + math.log(sum(terms))
 
 
 def pow_log(base: float, exponent: float) -> float:

@@ -9,7 +9,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import comb, e, lgamma, log, log1p, pi
+from operator import itemgetter
+
+import numpy as np
 
 from .counting import f_piecewise
 from .logreal import LogReal, log_sum_exp
@@ -23,6 +27,20 @@ DEFAULT_W_EXPONENT = 0.25
 def _check_p(p: float) -> None:
     if math.isnan(p) or not (0.0 < p < 1.0):
         raise ValueError(f"p must be in (0, 1), got {p}")
+
+
+def _check_n(n: int) -> None:
+    # the formulas take logs of n, n*p and ln n, so n must be >= 2 and a float
+    if not (2 <= n <= sys.float_info.max):
+        raise ValueError(f"n must be in [2, {sys.float_info.max:.4g}], got {n}")
+
+
+def _w(n: int, w_exponent: float) -> float:
+    """w = (ln n)^w_exponent; part 2 of the sparse split ends at k - w/p."""
+    try:
+        return log(n) ** w_exponent
+    except OverflowError:
+        raise ValueError(f"w = (ln n)^{w_exponent} overflows at n={n}") from None
 
 
 def log_binom(n: float, k: float) -> float:
@@ -137,6 +155,7 @@ def solve_k_hat(n: int, p: float) -> KHatResult:
     adjacent floats and the root is within _gamma_rounding of zero.
     """
     _check_p(p)
+    _check_n(n)
     ks = k_star(n, p)
     if ks <= 2:
         raise BracketError(f"k_star = {ks:.3f} <= 2 at n={n}, p={p}")
@@ -195,6 +214,8 @@ class Threshold:
 def g_threshold(n: int, p: float, delta: float) -> Threshold:
     """floor(2 log_{1/(1-p)}(enp) + delta), with a floor-instability flag."""
     _check_p(p)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if n * p <= 1:
         raise ValueError(f"need np > 1, got np = {n * p}")
     L = -log1p(-p)
@@ -217,8 +238,8 @@ class PartitionPoints:
 def partition_points(n: int, p: float, k: float, w: float) -> PartitionPoints:
     """Boundaries of the four-part split of overlap sizes, plus the dense-regime ones."""
     _check_p(p)
-    if w <= 0:
-        raise ValueError("w must be positive")
+    if not (0 < w < math.inf):
+        raise ValueError(f"w must be finite and positive, got {w}")
     L = -log1p(-p)
     ell_star = (2 * log(n * p) - 2 * log(4 * e * k)) / L
     b2 = k - w / p
@@ -272,8 +293,7 @@ def compute_profile(
     kh = solve_k_hat(n, p)
     thr = g_threshold(n, p, delta)
     k = math.floor(kh.root - 1 + delta)
-    w = log(n) ** w_exponent
-    pts = partition_points(n, p, k, w)
+    pts = partition_points(n, p, k, _w(n, w_exponent))
     return MomentProfile(
         n=n,
         p=p,
@@ -308,49 +328,6 @@ class VarianceBound:
         return self.part_log_sums.get(part, -math.inf)
 
 
-def _sparse_part1_log(n: int, p: float, k: int, ell: int) -> float:
-    # ln k + ell (1 + 2 ln k + (1 - ell/2) ln(1-p) - ln n - ln ell - ln p)
-    return log(k) + ell * (
-        1 + 2 * log(k) + (1 - ell / 2) * log1p(-p) - log(n) - log(ell) - log(p)
-    )
-
-
-def _f_hat_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
-    # C(k,l) C(n-k,k-l) (1-p)^(-C(l,2)) (k-l)^(k-2) (l+1)^(k-l-1) / (C(n,k) k^(k-3))
-    # log_cnk = ln C(n, k), shared by every ell
-    return (
-        log_binom(k, ell)
-        + log_binom(n - k, k - ell)
-        - comb(ell, 2) * log1p(-p)
-        + (k - 2) * log(k - ell)
-        + (k - ell - 1) * log(ell + 1)
-        - log_cnk
-        - (k - 3) * log(k)
-    )
-
-
-def _sparse_part3_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
-    # H(ell) evaluated at the real maximizer r* = ell - (beta*ell*p/e)^(2/3) / p
-    beta = (k - ell) * p
-    lam = (beta * ell * p / e) ** (2.0 / 3.0)
-    r_star = ell - lam / p
-    gap = ell - r_star  # lam / p > 0
-    return (
-        log_binom(k, ell)
-        + log_binom(n - k, k - ell)
-        - log_cnk
-        + log(ell)
-        + r_star * (log1p(-p) - log(p))
-        - 2 * (k - 2) * log(k)
-        - comb(ell, 2) * log1p(-p)
-        + gap
-        + (3 * ell - 2 * r_star - 1) * log(ell)
-        + (3 * (r_star - ell) + 1) * log(gap)
-        + 2 * (k - ell - 1) * log(ell + 1)
-        + 2 * (k - r_star - 2) * log(k - ell)
-    )
-
-
 def part3_r_star(p: float, k: int, ell: int) -> float:
     """Real maximizer of the overlap-edge count in the near-total-overlap zone."""
     beta = (k - ell) * p
@@ -370,57 +347,208 @@ def part3_summand_log(p: float, k: int, ell: int, r: int) -> float:
     )
 
 
-def _sparse_part4_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
-    s = k - ell
-    log_s_term = 0.0 if s == 1 else (s - 2) * log(s)  # (k-l)^(k-l-2), s >= 1
-    return (
-        log_binom(k, ell)
-        + log_binom(n - k, s)
-        - log_cnk
-        - (k - 2) * log(k)
-        - comb(ell, 2) * log1p(-p)
-        + log(ell)
-        + ell * (log1p(-p) - log(p))
-        + (s - 1) * log(ell + 1)
-        + log_s_term
-        + ell * s * p / (e * (1 - p))
-    )
+# Each part is evaluated over a block of up to _BLOCK overlaps at once, with
+# every entry equal to its scalar formula's bits:
+# - log, log1p, lgamma and ** go through math (or float.__pow__) one element
+#   at a time, lgamma at integers through a table; numpy's log, log1p and
+#   power round differently in the last ulp;
+# - every sum and product keeps the scalar expression's left-to-right order;
+# - n - k - (k - ell) is exact: int64 below 2**62 (so 2 * j cannot overflow),
+#   Python ints above.
+_BLOCK = 4096
+_INT64_EXACT = 2**62
 
 
-def _dense_trivial_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
-    return (
-        log_binom(k, ell)
-        + log_binom(n - k, k - ell)
-        - log_cnk
-        - comb(ell, 2) * log1p(-p)
-        + ell * (log1p(-p) - log(p))
-    )
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """f (a scalar math function) at each element of x."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
 
 
-def _dense_tail_log(n: int, p: float, k: int, ell: int, log_ex: float) -> float:
-    # s = k - ell vertices are unshared; maximize f1(k, r) over integer r
-    s = k - ell
-    base = (
-        log_binom(k, s)
-        + log_binom(n - k, s)
-        + s * k * log1p(-p)
-        + s * log(k)
-        - log_ex
-    )
-    log_ps = log(p) - log1p(-p) + log(s)
-    best = -math.inf
-    hi_cut = ell * (1 - 1 / e)
-    for r in range(0, k - s):  # r <= k - s - 1 = ell - 1
-        if r >= hi_cut:
-            f0 = (k - r) * log(ell / (ell - r))
-        elif r >= ell / 2:
-            f0 = k * log(4 / 3) + r * log(9 / 8)
+def _pairs(ell: np.ndarray) -> np.ndarray:
+    return ell * (ell - 1) // 2  # comb(ell, 2)
+
+
+class _OverlapTerms:
+    """log_binom and the per-part log summands at arrays of overlap sizes ell."""
+
+    def __init__(self, n: int, p: float, k: int):
+        self.n, self.p, self.k = n, p, k
+        self._lgamma = np.array([math.nan])  # lgamma at 0, 1, ...; 0 is never read
+        self.log1p_p = log1p(-p)
+        self.log_p = log(p)
+        self.log_k = log(k)
+        self.log_cnk = log_binom(n, k)
+
+    def lgamma_int(self, x: np.ndarray) -> np.ndarray:
+        """lgamma at integers x >= 1, each computed once (math.lgamma(j) is
+        math.lgamma(float(j))); the table grows to the largest x asked for."""
+        have, top = self._lgamma.size, int(x.max(initial=0)) + 1
+        if top > have:
+            more = _each(lgamma, np.arange(float(have), top))
+            self._lgamma = np.concatenate((self._lgamma, more))
+        return self._lgamma[x]
+
+    def log_binom(self, n: int, j: np.ndarray) -> np.ndarray:
+        """log_binom(n, j) at each j >= 0 of an int64 array, for n <= 1e308."""
+        out = np.full(j.size, -math.inf)
+        if n < _INT64_EXACT:
+            ok = j <= n
+            j = np.where(2 * j > n, n - j, j)
+            m = n - j
+            small = ok & (m < STIRLING_MIN_M)
+            if small.any():
+                out[small] = (
+                    lgamma(n + 1) - self.lgamma_int(j[small] + 1) - self.lgamma_int(m[small] + 1)
+                )
+            big = ok & ~small
+            j, m = j[big], m[big]
         else:
-            f0 = r * log(2)
-        val = f0 + (k - r) * log_ps
-        if val > best:
-            best = val
-    return base + best
+            # j <= k is far below n / 2: no swap, and m = n - j >= STIRLING_MIN_M
+            big = slice(None)
+            m = np.fromiter(map(float, map(n.__sub__, j.tolist())), float, j.size)
+        if j.size:
+            a, b = 1.0 / n, 1.0 / m
+            out[big] = (
+                j * log(n)
+                - (m + 0.5) * _each(log1p, -j * a)
+                - j
+                - self.lgamma_int(j + 1)
+                + (a - b) * (1 / 12 - (a * a + a * b + b * b) / 360)
+            )
+        return out
+
+    def part1(self, ell: np.ndarray) -> np.ndarray:
+        # ln k + ell (1 + 2 ln k + (1 - ell/2) ln(1-p) - ln n - ln ell - ln p)
+        return self.log_k + ell * (
+            1 + 2 * self.log_k + (1 - ell / 2) * self.log1p_p
+            - log(self.n) - _each(log, ell) - self.log_p
+        )
+
+    def f_hat(self, ell: np.ndarray) -> np.ndarray:
+        # C(k,l) C(n-k,k-l) (1-p)^(-C(l,2)) (k-l)^(k-2) (l+1)^(k-l-1) / (C(n,k) k^(k-3))
+        k = self.k
+        return (
+            self.log_binom(k, ell)
+            + self.log_binom(self.n - k, k - ell)
+            - _pairs(ell) * self.log1p_p
+            + (k - 2) * _each(log, k - ell)
+            + (k - ell - 1) * _each(log, ell + 1)
+            - self.log_cnk
+            - (k - 3) * self.log_k
+        )
+
+    def part3(self, ell: np.ndarray) -> np.ndarray:
+        # H(ell) evaluated at the real maximizer r* = ell - (beta*ell*p/e)^(2/3) / p
+        k, p = self.k, self.p
+        beta = (k - ell) * p
+        lam = np.fromiter(
+            map(pow, (beta * ell * p / e).tolist(), repeat(2.0 / 3.0)), float, ell.size
+        )
+        r_star = ell - lam / p
+        gap = ell - r_star  # lam / p > 0
+        log_ell = _each(log, ell)
+        return (
+            self.log_binom(k, ell)
+            + self.log_binom(self.n - k, k - ell)
+            - self.log_cnk
+            + log_ell
+            + r_star * (self.log1p_p - self.log_p)
+            - 2 * (k - 2) * self.log_k
+            - _pairs(ell) * self.log1p_p
+            + gap
+            + (3 * ell - 2 * r_star - 1) * log_ell
+            + (3 * (r_star - ell) + 1) * _each(log, gap)
+            + 2 * (k - ell - 1) * _each(log, ell + 1)
+            + 2 * (k - r_star - 2) * _each(log, k - ell)
+        )
+
+    def part4(self, ell: np.ndarray) -> np.ndarray:
+        k, p = self.k, self.p
+        s = k - ell
+        log_s_term = np.where(s == 1, 0.0, (s - 2) * _each(log, s))  # (k-l)^(k-l-2)
+        return (
+            self.log_binom(k, ell)
+            + self.log_binom(self.n - k, s)
+            - self.log_cnk
+            - (k - 2) * self.log_k
+            - _pairs(ell) * self.log1p_p
+            + _each(log, ell)
+            + ell * (self.log1p_p - self.log_p)
+            + (s - 1) * _each(log, ell + 1)
+            + log_s_term
+            + ell * s * p / (e * (1 - p))
+        )
+
+    def trivial(self, ell: np.ndarray) -> np.ndarray:
+        return (
+            self.log_binom(self.k, ell)
+            + self.log_binom(self.n - self.k, self.k - ell)
+            - self.log_cnk
+            - _pairs(ell) * self.log1p_p
+            + ell * (self.log1p_p - self.log_p)
+        )
+
+    def tail(self, ell: np.ndarray) -> np.ndarray:
+        # s = k - ell vertices are unshared; maximize f1(k, r) over integer r
+        k, p = self.k, self.p
+        s = k - ell
+        base = (
+            self.log_binom(k, s)
+            + self.log_binom(self.n - k, s)
+            + s * k * self.log1p_p
+            + s * self.log_k
+            - log_expected_trees(self.n, p, k).logmag
+        )
+        log_ps = self.log_p - self.log1p_p + _each(log, s)
+        best = [self._f1_max(l, lps) for l, lps in zip(ell.tolist(), log_ps.tolist())]
+        return base + np.array(best)
+
+    def _f1_max(self, ell: int, log_ps: float) -> float:
+        """max over 0 <= r < ell of f0(k, r) + (k - r) ln(ps / (1 - p))."""
+        k = self.k
+        r = np.arange(ell)
+        mid = math.ceil(ell / 2)  # first r >= ell / 2
+        top = math.ceil(ell * (1 - 1 / e))  # first r >= ell (1 - 1/e)
+        f0 = np.empty(ell)
+        f0[:mid] = r[:mid] * log(2)
+        f0[mid:top] = k * log(4 / 3) + r[mid:top] * log(9 / 8)
+        f0[top:] = (k - r[top:]) * _each(log, ell / (ell - r[top:]))
+        return float(np.max(f0 + (k - r) * log_ps))
+
+
+def _part_ranges(p: float, k: int, sparse: bool, pts: PartitionPoints):
+    """(part, lo, hi, summand): the part holds lo <= ell < hi."""
+    t = _OverlapTerms
+    if sparse:
+        cuts = (
+            ("part1", pts.ell_star, t.part1),
+            ("part2", pts.k_minus_w_over_p, t.f_hat),
+            ("part3", pts.k_minus_half_p, t.part3),
+            ("part4", k, t.part4),
+        )
+    else:
+        cuts = (
+            ("trivial", pts.ell_1, t.trivial),
+            ("product", k - 2 * (1 - p) / p, t.f_hat),
+            ("tail", k, t.tail),
+        )
+    ranges = []
+    lo = 2
+    for name, last, summand in cuts:
+        hi = max(lo, min(k, math.floor(last) + 1))
+        ranges.append((name, lo, hi, summand))
+        lo = hi
+    return ranges
+
+
+def _entry_blocks(n: int, p: float, k: int, ranges):
+    """The entries (part, ell, log summand), a block of ells at a time. The
+    lgamma table goes with the generator, before the caller sums."""
+    terms = _OverlapTerms(n, p, k)
+    for name, lo, hi, summand in ranges:
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            yield zip(repeat(name), range(a, b), summand(terms, np.arange(a, b)).tolist())
 
 
 def variance_ratio_bound(
@@ -435,42 +563,20 @@ def variance_ratio_bound(
     partition_points'; for integer ell, ell <= x is ell <= floor(x).
     """
     _check_p(p)
+    _check_n(n)
     if not (2 <= k <= n):
         raise ValueError(f"need 2 <= k <= n, got k={k}")
     sparse = p < 1 / (2 * log(n))
-    w = log(n) ** w_exponent
-    log_cnk = log_binom(n, k)
-    pts = partition_points(n, p, k, w)
-    entries: list[tuple[str, int, float]] = []
-
-    if sparse:
-        for ell in range(2, k):
-            if ell <= pts.ell_star:
-                entries.append(("part1", ell, _sparse_part1_log(n, p, k, ell)))
-            elif ell <= pts.k_minus_w_over_p:
-                entries.append(("part2", ell, _f_hat_log(n, p, k, ell, log_cnk)))
-            elif ell <= pts.k_minus_half_p:
-                entries.append(("part3", ell, _sparse_part3_log(n, p, k, ell, log_cnk)))
-            else:
-                entries.append(("part4", ell, _sparse_part4_log(n, p, k, ell, log_cnk)))
-        part_names = ("part1", "part2", "part3", "part4")
-    else:
-        cut = k - 2 * (1 - p) / p
-        log_ex = log_expected_trees(n, p, k).logmag
-        for ell in range(2, k):
-            if ell <= pts.ell_1:
-                entries.append(("trivial", ell, _dense_trivial_log(n, p, k, ell, log_cnk)))
-            elif ell <= cut:
-                entries.append(("product", ell, _f_hat_log(n, p, k, ell, log_cnk)))
-            else:
-                entries.append(("tail", ell, _dense_tail_log(n, p, k, ell, log_ex)))
-        part_names = ("trivial", "product", "tail")
-
-    part_log_sums = {
-        name: log_sum_exp(v for (pn, _, v) in entries if pn == name)
-        for name in part_names
-    }
-    total = log_sum_exp(v for (_, _, v) in entries)
+    pts = partition_points(n, p, k, _w(n, w_exponent))
+    ranges = _part_ranges(p, k, sparse, pts)
+    entries = tuple(chain.from_iterable(_entry_blocks(n, p, k, ranges)))
+    values = np.fromiter(map(itemgetter(2), entries), float, len(entries))
     return VarianceBound(
-        n, p, k, "sparse" if sparse else "dense", tuple(entries), part_log_sums, total
+        n,
+        p,
+        k,
+        "sparse" if sparse else "dense",
+        entries,
+        {name: log_sum_exp(values[lo - 2 : hi - 2]) for name, lo, hi, _ in ranges},
+        log_sum_exp(values),
     )

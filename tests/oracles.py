@@ -1,11 +1,21 @@
 """Independent counting oracles that only the tests use."""
 import itertools
 import math
+from math import comb, e, log, log1p
 
 import numpy as np
 
 from indtrees.counting import OverlapTable, _restriction_masks, enumerate_labeled_trees
 from indtrees.graphs import Graph, _sample_pair_index, induced_subgraph, is_tree
+from indtrees.logreal import log_sum_exp
+from indtrees.moments import (
+    DEFAULT_W_EXPONENT,
+    VarianceBound,
+    _check_p,
+    log_binom,
+    log_expected_trees,
+    partition_points,
+)
 from indtrees.rng import Seed
 
 
@@ -138,3 +148,157 @@ def count_overlap_pairs_pairwise(k: int, l: int) -> OverlapTable:
             if m1 == m2:
                 matching[r] += c1 * c2
     return OverlapTable(k, l, tuple(total), tuple(matching))
+
+
+# --- variance-ratio bound, one ell at a time ---------------------------------
+
+
+def _sparse_part1_log(n: int, p: float, k: int, ell: int) -> float:
+    # ln k + ell (1 + 2 ln k + (1 - ell/2) ln(1-p) - ln n - ln ell - ln p)
+    return log(k) + ell * (
+        1 + 2 * log(k) + (1 - ell / 2) * log1p(-p) - log(n) - log(ell) - log(p)
+    )
+
+
+def _f_hat_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
+    # C(k,l) C(n-k,k-l) (1-p)^(-C(l,2)) (k-l)^(k-2) (l+1)^(k-l-1) / (C(n,k) k^(k-3))
+    # log_cnk = ln C(n, k), shared by every ell
+    return (
+        log_binom(k, ell)
+        + log_binom(n - k, k - ell)
+        - comb(ell, 2) * log1p(-p)
+        + (k - 2) * log(k - ell)
+        + (k - ell - 1) * log(ell + 1)
+        - log_cnk
+        - (k - 3) * log(k)
+    )
+
+
+def _sparse_part3_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
+    # H(ell) evaluated at the real maximizer r* = ell - (beta*ell*p/e)^(2/3) / p
+    beta = (k - ell) * p
+    lam = (beta * ell * p / e) ** (2.0 / 3.0)
+    r_star = ell - lam / p
+    gap = ell - r_star  # lam / p > 0
+    return (
+        log_binom(k, ell)
+        + log_binom(n - k, k - ell)
+        - log_cnk
+        + log(ell)
+        + r_star * (log1p(-p) - log(p))
+        - 2 * (k - 2) * log(k)
+        - comb(ell, 2) * log1p(-p)
+        + gap
+        + (3 * ell - 2 * r_star - 1) * log(ell)
+        + (3 * (r_star - ell) + 1) * log(gap)
+        + 2 * (k - ell - 1) * log(ell + 1)
+        + 2 * (k - r_star - 2) * log(k - ell)
+    )
+
+
+def _sparse_part4_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
+    s = k - ell
+    log_s_term = 0.0 if s == 1 else (s - 2) * log(s)  # (k-l)^(k-l-2), s >= 1
+    return (
+        log_binom(k, ell)
+        + log_binom(n - k, s)
+        - log_cnk
+        - (k - 2) * log(k)
+        - comb(ell, 2) * log1p(-p)
+        + log(ell)
+        + ell * (log1p(-p) - log(p))
+        + (s - 1) * log(ell + 1)
+        + log_s_term
+        + ell * s * p / (e * (1 - p))
+    )
+
+
+def _dense_trivial_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
+    return (
+        log_binom(k, ell)
+        + log_binom(n - k, k - ell)
+        - log_cnk
+        - comb(ell, 2) * log1p(-p)
+        + ell * (log1p(-p) - log(p))
+    )
+
+
+def _dense_tail_log(n: int, p: float, k: int, ell: int, log_ex: float) -> float:
+    # s = k - ell vertices are unshared; maximize f1(k, r) over integer r
+    s = k - ell
+    base = (
+        log_binom(k, s)
+        + log_binom(n - k, s)
+        + s * k * log1p(-p)
+        + s * log(k)
+        - log_ex
+    )
+    log_ps = log(p) - log1p(-p) + log(s)
+    best = -math.inf
+    hi_cut = ell * (1 - 1 / e)
+    for r in range(0, k - s):  # r <= k - s - 1 = ell - 1
+        if r >= hi_cut:
+            f0 = (k - r) * log(ell / (ell - r))
+        elif r >= ell / 2:
+            f0 = k * log(4 / 3) + r * log(9 / 8)
+        else:
+            f0 = r * log(2)
+        val = f0 + (k - r) * log_ps
+        if val > best:
+            best = val
+    return base + best
+
+
+def variance_ratio_bound_loop(
+    n: int, p: float, k: int, w_exponent: float = DEFAULT_W_EXPONENT
+) -> VarianceBound:
+    """Per-overlap upper bounds on F_ell / (E X_k)^2 and their partial sums,
+    one scalar evaluation per ell: the loop that variance_ratio_bound's numpy
+    evaluation must reproduce bit for bit.
+
+    Sparse regime (p < 1/(2 ln n)): the four-part split with the trivial,
+    product, forest-count, and near-total-overlap bounds. Dense regime: the
+    trivial bound up to ell_1, the product bound through ell_2's zone, and
+    the f0/f1 bound for the last O(1/p) overlaps. The part boundaries are
+    partition_points'; for integer ell, ell <= x is ell <= floor(x).
+    """
+    _check_p(p)
+    if not (2 <= k <= n):
+        raise ValueError(f"need 2 <= k <= n, got k={k}")
+    sparse = p < 1 / (2 * log(n))
+    w = log(n) ** w_exponent
+    log_cnk = log_binom(n, k)
+    pts = partition_points(n, p, k, w)
+    entries: list[tuple[str, int, float]] = []
+
+    if sparse:
+        for ell in range(2, k):
+            if ell <= pts.ell_star:
+                entries.append(("part1", ell, _sparse_part1_log(n, p, k, ell)))
+            elif ell <= pts.k_minus_w_over_p:
+                entries.append(("part2", ell, _f_hat_log(n, p, k, ell, log_cnk)))
+            elif ell <= pts.k_minus_half_p:
+                entries.append(("part3", ell, _sparse_part3_log(n, p, k, ell, log_cnk)))
+            else:
+                entries.append(("part4", ell, _sparse_part4_log(n, p, k, ell, log_cnk)))
+        part_names = ("part1", "part2", "part3", "part4")
+    else:
+        cut = k - 2 * (1 - p) / p
+        log_ex = log_expected_trees(n, p, k).logmag
+        for ell in range(2, k):
+            if ell <= pts.ell_1:
+                entries.append(("trivial", ell, _dense_trivial_log(n, p, k, ell, log_cnk)))
+            elif ell <= cut:
+                entries.append(("product", ell, _f_hat_log(n, p, k, ell, log_cnk)))
+            else:
+                entries.append(("tail", ell, _dense_tail_log(n, p, k, ell, log_ex)))
+        part_names = ("trivial", "product", "tail")
+
+    part_log_sums = {
+        name: log_sum_exp(v for (pn, _, v) in entries if pn == name)
+        for name in part_names
+    }
+    total = log_sum_exp(v for (_, _, v) in entries)
+    return VarianceBound(
+        n, p, k, "sparse" if sparse else "dense", tuple(entries), part_log_sums, total
+    )

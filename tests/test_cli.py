@@ -128,6 +128,21 @@ def test_moments_varbound(capsys):
     assert "part_sums" in summary and "total" in summary
 
 
+# SHA-256 of the stdout of `moments varbound` at a sparse and a dense cell:
+# every entry, the part sums and the total, as the scalar loop printed them
+VARBOUND_STDOUT = [
+    ("100000000", "0.01", "abdda6b3cde58a6cbc493c30af1f6533ee349ef6d4bbad97d9b898c702c6a358"),
+    ("100000", "0.2", "cedcf2eecc432717ccbf749dce2363e2b527944a7773196c5f8a745b0b6c1e9d"),
+]
+
+
+@pytest.mark.parametrize("n, p, sha", VARBOUND_STDOUT, ids=["sparse-1e8", "dense-1e5"])
+def test_moments_varbound_stdout_pinned(capsys, n, p, sha):
+    code, out, _ = run_cli(capsys, "moments", "varbound", "--n", n, "--p", p)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_experiment_run_exit_codes(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     out_dir = tmp_path / "out"
@@ -202,6 +217,30 @@ def test_moments_profile_beyond_float_resolution_exits_2(capsys):
     code, out, err = run_cli(capsys, "moments", "profile", "--n", str(n), "--p", repr(p))
     assert code == 2 and out == ""
     assert_one_line_error(err, "indtrees moments:", "beyond float64 resolution")
+
+
+CELL_1E8 = ("--n", "100000000", "--p", "0.01")
+
+
+@pytest.mark.parametrize(
+    "argv, fragments",
+    [
+        (("varbound", *CELL_1E8, "--w-exponent", "nan"), ("w must be finite", "nan")),
+        (("varbound", *CELL_1E8, "--w-exponent", "inf"), ("w must be finite", "inf")),
+        (("varbound", *CELL_1E8, "--w-exponent", "1000"), ("overflows", "1000")),
+        (("varbound", "--n", "0", "--p", "0.5", "--k", "2"), ("n must be in [2,", "got 0")),
+        (("profile", "--n", "1" + "0" * 310, "--p", "0.01"), ("n must be in [2,", "0" * 310)),
+        (("profile", "--n", "0", "--p", "0.01"), ("n must be in [2,", "got 0")),
+        (("profile", "--n", "1", "--p", "0.5"), ("n must be in [2,", "got 1")),
+        (("profile", "--n", "100000", "--p", "0.02", "--delta", "nan"), ("delta must be finite", "nan")),
+        (("profile", "--n", "100000", "--p", "0.02", "--delta", "inf"), ("delta must be finite", "inf")),
+    ],
+    ids=["w-nan", "w-inf", "w-overflow", "varbound-n0", "n-1e310", "n0", "n1", "delta-nan", "delta-inf"],
+)
+def test_moments_bad_inputs_exit_2(capsys, argv, fragments):
+    code, out, err = run_cli(capsys, "moments", *argv)
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees moments:", *fragments)
 
 
 def test_oracle_validate_runs_forest_checks(capsys):

@@ -478,6 +478,15 @@ def test_read_graph_contract(tmp_path, text, accepted):
         assert read_graph(path) == Graph(n, edges)
 
 
+def test_read_graph_names_the_bad_line_past_the_first_block(tmp_path):
+    lines = [f"{i} {i + 1}" for i in range(1500)]
+    lines[1100] = "1100 1101 7"
+    path = tmp_path / "g.txt"
+    path.write_text("1501 1500\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 1102: expected 'u v', got '1100 1101 7'"):
+        read_graph(path)
+
+
 def test_write_graph_to_stream_matches_file(tmp_path):
     g = sample_gnp(300, 0.05, Seed(8))
     path = tmp_path / "g.txt"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,6 +58,20 @@ def test_log_sum_exp():
     assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2))
     # huge terms must not overflow
     assert log_sum_exp([1e6, 1e6]) == pytest.approx(1e6 + math.log(2))
+
+
+@pytest.mark.parametrize("size", [1, 2, 1023, 1024, 1025, 5000])
+def test_log_sum_exp_is_one_sum_in_order(size):
+    # the bits of the formula as a plain generator over a list, whether the
+    # values come as a list, an array or an iterator, across block edges;
+    # with max 0 the result is ln(sum) itself, so the summation order shows
+    xs = [0.0] + (-np.random.default_rng(size).random(size - 1)).tolist()
+    m = max(xs)
+    want = m + math.log(sum(math.exp(x - m) for x in xs))
+    assert log_sum_exp(xs) == want
+    assert log_sum_exp(np.array(xs)) == want
+    assert log_sum_exp(iter(xs)) == want
+    assert type(log_sum_exp(np.array(xs))) is float
 
 
 def test_pow_conventions():

@@ -3,7 +3,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from indtrees.experiments import THETA_UPPER
 from indtrees.moments import (
@@ -22,6 +22,7 @@ from indtrees.moments import (
     solve_k_hat,
     variance_ratio_bound,
 )
+from oracles import variance_ratio_bound_loop
 
 mp.mp.dps = 60
 
@@ -197,6 +198,26 @@ def test_g_threshold_requires_supercritical():
 # --- partition geometry ------------------------------------------------------
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, 0.0, -1.0])
+def test_partition_points_rejects_bad_w(w):
+    with pytest.raises(ValueError, match="w must be finite and positive"):
+        partition_points(10**8, 0.01, 2949, w)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10**309])
+def test_n_outside_float_range_rejected(n):
+    with pytest.raises(ValueError, match=r"n must be in \[2, "):
+        solve_k_hat(n, 0.01)
+    with pytest.raises(ValueError, match=r"n must be in \[2, "):
+        variance_ratio_bound(n, 0.01, 2)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_delta_not_finite_rejected(delta):
+    with pytest.raises(ValueError, match="delta must be finite"):
+        compute_profile(10**5, 0.02, delta=delta)
+
+
 def test_partition_points_ordered_in_sparse_regime():
     n = 10**8
     p = n**-0.2
@@ -302,3 +323,85 @@ def test_variance_bound_entries_pinned(cell, sha):
 def test_variance_bound_rejects_bad_k():
     with pytest.raises(ValueError):
         variance_ratio_bound(100, 0.1, 1)
+
+
+# --- variance-ratio bound against the scalar loop ------------------------------
+# variance_ratio_bound evaluates each part with numpy over blocks of ell; it
+# must equal the one-ell-at-a-time loop exactly: entries, part sums and total.
+
+
+def assert_matches_loop(*args):
+    vb = variance_ratio_bound(*args)
+    assert vb == variance_ratio_bound_loop(*args)
+    # Python objects, not numpy scalars: repr, JSON and the pins depend on it
+    assert type(vb.entries) is tuple
+    for entry in vb.entries:
+        assert type(entry) is tuple and len(entry) == 3
+        assert (type(entry[0]), type(entry[1]), type(entry[2])) == (str, int, float)
+    assert all(type(v) is float for v in vb.part_log_sums.values())
+    assert type(vb.log_total) is float
+    return vb
+
+
+THEORY_GRID = [
+    (n, p)
+    for n in (10**5, 10**6, 10**7, 10**8, 10**10, 10**12)
+    for p in (n ** -0.2, n ** -0.25, 1 / (3 * math.log(n)), 0.02)
+]
+
+
+@pytest.mark.parametrize("n, p", THEORY_GRID, ids=[f"{n:.0e}-{p:.4g}" for n, p in THEORY_GRID])
+def test_variance_bound_matches_loop_on_theory_grid(n, p):
+    assert_matches_loop(n, p, compute_profile(n, p).k)
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_ENTRIES), ids=["1e30", "1e40", "1e50"])
+def test_variance_bound_matches_loop_on_criterion7_cells(n):
+    assert_matches_loop(*criterion7_cell(n))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        (10**5, 0.2, 99),
+        # n - k < STIRLING_MIN_M: log_binom(n - k, .) takes its lgamma branch
+        (100, 0.3, 20),
+        (100, 0.5, 60),
+        (50, 0.3, 49),
+        (100, 0.01, 3),  # one entry
+        (100, 0.01, 100),  # k = n: C(n - k, k - ell) = 0, sparse
+        (30, 0.5, 30),  # k = n, dense
+    ],
+    ids=["dense-1e5", "100-0.3-20", "100-0.5-60", "50-0.3-49", "k3", "k=n-sparse", "k=n-dense"],
+)
+def test_variance_bound_matches_loop_on_small_cells(cell):
+    assert_matches_loop(*cell)
+
+
+def test_variance_bound_k2_has_no_entries():
+    vb = assert_matches_loop(100, 0.01, 2)
+    assert vb.entries == ()
+    assert vb.log_total == -math.inf
+    assert set(vb.part_log_sums.values()) == {-math.inf}
+
+
+def test_variance_bound_matches_loop_with_an_empty_part():
+    # w = (ln n)^3 pushes k - w/p below ell*: part 2 is empty, part 3 takes its ells
+    vb = assert_matches_loop(10**8, 0.01, 2949, 3.0)
+    assert vb.part_sum("part2") == -math.inf
+    assert "part2" not in {part for (part, _, _) in vb.entries}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=10**15),
+    u=st.floats(min_value=0.01, max_value=0.99),
+    k=st.integers(min_value=2, max_value=300),
+    w_exponent=st.sampled_from([0.25, 1.0, 2.0]),
+)
+@pytest.mark.parametrize("regime", ["sparse", "dense"])
+def test_variance_bound_matches_loop_swept(regime, n, u, k, w_exponent):
+    edge = 1 / (2 * math.log(n))  # p below it is the sparse regime
+    p = u * edge if regime == "sparse" else edge + u * (0.95 - edge)
+    vb = assert_matches_loop(n, p, min(k, n), w_exponent)
+    assert vb.regime == regime
