@@ -19,7 +19,7 @@ from .logreal import pow_log
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
 MAX_OVERLAP_K = 7  # 7^5 = 16807 trees per family; the l=7 transform spans 36961 forests
 MAX_FOREST_L = 9
-_PRUFER_BATCH = 1024  # Prüfer sequences decoded per numpy step
+_PRUFER_BATCH = 2048  # rows per numpy step in the tree and forest streams
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
@@ -31,47 +31,59 @@ def cayley(k: int) -> int:
     return 1 if k <= 2 else k ** (k - 2)
 
 
-def enumerate_labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield each labeled tree on {0..k-1} exactly once, as a sorted edge tuple.
+def _rows_as_tuples(table: np.ndarray, rows: np.ndarray) -> Iterator[tuple]:
+    """Each row of indices into the object table, as a tuple of its entries."""
+    items = table[rows].ravel().tolist()
+    return zip(*[iter(items)] * rows.shape[1])
 
-    Trees come in the itertools.product order of their Prüfer sequences,
-    decoded _PRUFER_BATCH sequences at a time: each of the k-2 steps joins
-    every row's lowest degree-1 vertex to the row's next sequence entry.
+
+def _tree_code_batches(k: int) -> Iterator[np.ndarray]:
+    """The labeled trees on {0..k-1} (k >= 2), _PRUFER_BATCH at a time, as
+    uint8 rows of k-1 edge codes u*k + v (u < v), each row sorted.
+
+    Trees come in the itertools.product order of their Prüfer sequences. Step
+    i joins seq[i] to the lowest vertex that is neither removed yet nor in
+    seq[i:]: the lowest bit of free & avail[i], where avail[i] is the
+    complement of the OR of 1 << seq[j] over j >= i. The last edge joins the
+    two vertices left in free. Arrays are laid out one sequence per column.
     """
+    bit = (1 << np.arange(k)).astype(np.int16)
+    low = np.zeros(1 << k, dtype=np.uint8)  # mask -> its lowest set bit
+    low[1:] = [(m & -m).bit_length() - 1 for m in range(1, 1 << k)]
+    total = k ** (k - 2)
+    for start in range(0, total, _PRUFER_BATCH):
+        index = np.arange(start, min(start + _PRUFER_BATCH, total), dtype=np.uint32)
+        seq = np.empty((k - 2, len(index)), dtype=np.uint8)
+        avail = np.empty((k - 2, len(index)), dtype=np.int16)
+        later = 0
+        for i in range(k - 3, -1, -1):
+            seq[i] = index // k ** (k - 3 - i) % k
+            later = later | bit.take(seq[i])
+            avail[i] = ~later
+        free = np.full(len(index), (1 << k) - 1, dtype=np.int16)
+        codes = np.empty((k - 1, len(index)), dtype=np.uint8)
+        for i in range(k - 2):
+            leaf = low.take(free & avail[i])
+            codes[i] = np.minimum(leaf, seq[i]) * k + np.maximum(leaf, seq[i])
+            free ^= bit.take(leaf)
+        codes[k - 2] = low.take(free) * k + low.take(free & (free - 1))
+        codes = codes.T.copy()
+        codes.sort(axis=1)  # code order is (u, v) order
+        yield codes
+
+
+def enumerate_labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield each labeled tree on {0..k-1} exactly once, as a sorted edge tuple,
+    in the itertools.product order of the trees' Prüfer sequences."""
     if not (1 <= k <= MAX_TREE_K):
         raise ValueError(f"k must be in [1, {MAX_TREE_K}], got {k}")
     if k == 1:
         yield ()
         return
-    if k == 2:
-        yield ((0, 1),)
-        return
     pairs = np.empty(k * k, dtype=object)  # edge code u*k + v -> (u, v)
     pairs[:] = [(u, v) for u in range(k) for v in range(k)]
-    powers = k ** np.arange(k - 3, -1, -1)
-    total = k ** (k - 2)
-    for start in range(0, total, _PRUFER_BATCH):
-        seq = np.arange(start, min(start + _PRUFER_BATCH, total))[:, None] // powers % k
-        rows = len(seq)
-        base = np.arange(rows) * k  # row offsets into the flattened degrees
-        deg = np.bincount((base[:, None] + seq).ravel(), minlength=rows * k)
-        deg = (deg + 1).astype(np.int8).reshape(rows, k)
-        flat = deg.reshape(-1)
-        codes = np.empty((rows, k - 1), dtype=np.uint8)
-        for i in range(k - 2):
-            leaf = np.argmax(deg == 1, axis=1)
-            v = seq[:, i]
-            codes[:, i] = np.minimum(leaf, v) * k + np.maximum(leaf, v)
-            flat[base + leaf] = 0
-            flat[base + v] -= 1
-        # the last edge joins the two vertices of degree 1 that remain
-        ones = deg == 1
-        first = np.argmax(ones, axis=1)
-        last = k - 1 - np.argmax(ones[:, ::-1], axis=1)
-        codes[:, k - 2] = first * k + last
-        codes.sort(axis=1)  # code order is (u, v) order
-        edges = pairs[codes].ravel().tolist()
-        yield from zip(*[iter(edges)] * (k - 1))  # each row's k-1 edges as a tuple
+    for codes in _tree_code_batches(k):
+        yield from _rows_as_tuples(pairs, codes)
 
 
 @dataclass(frozen=True)
@@ -113,14 +125,51 @@ def count_forests(l: int, r: int) -> ForestCount:
     return ForestCount(l, r, _phi(l, r))
 
 
+def _forest_blocks(
+    rows: np.ndarray, labels: np.ndarray, last: np.ndarray, more: int,
+    us: np.ndarray, vs: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Extend each forest row by `more` further edges, each of index above the
+    row's last, and yield the results in lexicographic order, in blocks of at
+    most _PRUFER_BATCH rows.
+
+    A row is a forest's edge indices into (us, vs) in increasing order, with
+    labels[row] a component label per vertex. An edge extends a row when its
+    ends carry different labels; np.nonzero lists the extensions of a block
+    row by row, so each level stays in lexicographic order. Every subset of a
+    forest is a forest, so no forest is missed.
+    """
+    for start in range(0, len(rows), _PRUFER_BATCH):
+        block = slice(start, start + _PRUFER_BATCH)
+        if more == 0:
+            yield rows[block]
+            continue
+        lab = labels[block]
+        lu, lv = lab[:, us], lab[:, vs]
+        row, edge = np.nonzero((np.arange(len(us)) > last[block]) & (lu != lv))
+        lab = lab[row]
+        merged = np.where(lab == lv[row, edge][:, None], lu[row, edge][:, None], lab)
+        grown = np.column_stack((rows[block][row], edge.astype(np.int8)))
+        yield from _forest_blocks(grown, merged, edge[:, None], more - 1, us, vs)
+
+
 def enumerate_forests(l: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All forests on [l] with r edges (l <= 8)."""
-    if l > 8:
-        raise ValueError("enumeration limited to l <= 8")
-    all_edges = list(itertools.combinations(range(l), 2))
-    for sub in itertools.combinations(all_edges, r):
-        if forest_components(l, sub) is not None:
-            yield sub
+    """All forests on [l] with r edges (l <= 8), in itertools.combinations order,
+    grown one edge at a time from the empty forest (see _forest_blocks)."""
+    if not (0 <= l <= 8):
+        raise ValueError(f"l must be in [0, 8], got {l}")
+    if r < 0:
+        raise ValueError(f"r must be non-negative, got {r}")
+    if r == 0:
+        yield ()
+        return
+    us, vs = np.triu_indices(l, 1)  # the pairs in combinations order
+    pairs = np.empty(len(us), dtype=object)
+    pairs[:] = list(zip(us.tolist(), vs.tolist()))
+    empty = np.zeros((1, 0), dtype=np.int8)
+    labels = np.arange(l, dtype=np.int8)[None, :]
+    for rows in _forest_blocks(empty, labels, np.array([[-1]]), r, us, vs):
+        yield from _rows_as_tuples(pairs, rows)
 
 
 def rooted_forest_count_closed_form(n: int, m: int) -> int:
@@ -137,6 +186,8 @@ def rooted_forest_count_closed_form(n: int, m: int) -> int:
 def rooted_forest_count_enumerated(l: int, m: int) -> int:
     """Rooted forests on [l] with m trees: each forest weighted by the product
     of its component sizes (one root choice per tree)."""
+    if not (1 <= m <= l):
+        raise ValueError(f"need 1 <= m <= l, got l={l}, m={m}")
     return sum(math.prod(forest_components(l, f)) for f in enumerate_forests(l, l - m))
 
 
@@ -186,15 +237,14 @@ def _restriction_masks(k: int, l: int) -> dict[int, int]:
     restriction of each tree onto family B's restriction of its image: both
     families have this one histogram.
     """
-    pair_bit = {p: i for i, p in enumerate(itertools.combinations(range(l), 2))}
-    hist: dict[int, int] = {}
-    for tree in enumerate_labeled_trees(k):
-        mask = 0
-        for (u, v) in tree:
-            if v < l:
-                mask |= 1 << pair_bit[(u, v)]
-        hist[mask] = hist.get(mask, 0) + 1
-    return hist
+    bit = np.zeros(k * k, dtype=np.int64)  # edge code -> its bit in the shared-set mask
+    for i, (u, v) in enumerate(itertools.combinations(range(l), 2)):
+        bit[u * k + v] = 1 << i
+    masks = np.concatenate(
+        [np.bitwise_or.reduce(bit[codes], axis=1) for codes in _tree_code_batches(k)]
+    )
+    values, counts = np.unique(masks, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _superset_sums(hist: dict[int, int], bits: int) -> dict[int, int]:

@@ -6,7 +6,13 @@ from math import comb, e, log, log1p
 import numpy as np
 
 from indtrees.counting import OverlapTable, _restriction_masks, enumerate_labeled_trees
-from indtrees.graphs import Graph, _sample_pair_index, induced_subgraph, is_tree
+from indtrees.graphs import (
+    Graph,
+    _sample_pair_index,
+    forest_components,
+    induced_subgraph,
+    is_tree,
+)
 from indtrees.logreal import log_sum_exp
 from indtrees.moments import (
     DEFAULT_W_EXPONENT,
@@ -118,6 +124,29 @@ def prufer_trees(k: int):
     decode per sequence, in itertools.product order."""
     for seq in itertools.product(range(k), repeat=k - 2):
         yield _decode_prufer(seq, k)
+
+
+def forests_by_filter(l: int, r: int):
+    """All forests on [l] with r edges: every r-subset of the pairs, in
+    itertools.combinations order, kept when it closes no cycle."""
+    all_edges = list(itertools.combinations(range(l), 2))
+    for sub in itertools.combinations(all_edges, r):
+        if forest_components(l, sub) is not None:
+            yield sub
+
+
+def restriction_masks_loop(k: int, l: int) -> dict[int, int]:
+    """Histogram of the edge masks that the trees on {0..k-1} induce on
+    {0..l-1}, one Python loop over each tree's edge tuple."""
+    pair_bit = {p: i for i, p in enumerate(itertools.combinations(range(l), 2))}
+    hist: dict[int, int] = {}
+    for tree in enumerate_labeled_trees(k):
+        mask = 0
+        for (u, v) in tree:
+            if v < l:
+                mask |= 1 << pair_bit[(u, v)]
+        hist[mask] = hist.get(mask, 0) + 1
+    return hist
 
 
 def _shared_end_masks(k: int, l: int) -> dict[int, int]:

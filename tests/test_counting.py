@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from indtrees import counting
 from indtrees.counting import (
     cayley,
     count_forests,
@@ -19,7 +20,12 @@ from indtrees.counting import (
     validate_overlap_bounds,
 )
 from indtrees.graphs import Graph, is_tree
-from oracles import count_overlap_pairs_pairwise, prufer_trees
+from oracles import (
+    count_overlap_pairs_pairwise,
+    forests_by_filter,
+    prufer_trees,
+    restriction_masks_loop,
+)
 
 
 # --- labeled tree enumeration ------------------------------------------------
@@ -52,6 +58,20 @@ def test_k8_stream_pinned():
     assert hashlib.sha256(stream.encode()).hexdigest() == (
         "0563e0775da398baaa11e5015af03a5d37273b7899437021c98a136ff97a3961"
     )
+
+
+def test_stream_matches_scalar_decoder_across_small_batches(monkeypatch):
+    # batches of 7 end inside every block of Prüfer indices that share a prefix
+    monkeypatch.setattr(counting, "_PRUFER_BATCH", 7)
+    for k in range(3, 8):
+        assert list(enumerate_labeled_trees(k)) == list(prufer_trees(k))
+    assert counting._restriction_masks(6, 4) == restriction_masks_loop(6, 4)
+
+
+def test_restriction_masks_match_per_tree_loop():
+    for k in range(2, 8):
+        for l in range(2, k + 1):
+            assert counting._restriction_masks(k, l) == restriction_masks_loop(k, l)
 
 
 def test_enumeration_matches_direct_scan():
@@ -90,6 +110,40 @@ def test_enumerate_forests_consistent():
             forests = list(enumerate_forests(l, r))
             assert len(forests) == count_forests(l, r).value
             assert len(set(forests)) == len(forests)
+
+
+def test_forest_stream_matches_filter_oracle():
+    # same tuples in the same order as filtering itertools.combinations
+    cells = [(l, r) for l in range(8) for r in range(l)] + [(8, r) for r in range(6)]
+    cells += [(0, 0), (1, 1), (3, 3), (4, 6)]  # r past l-1: only (0, 0) yields
+    for l, r in cells:
+        assert list(enumerate_forests(l, r)) == list(forests_by_filter(l, r)), (l, r)
+
+
+def test_forest_stream_l8_pinned():
+    # SHA-256 of the l=8, r=7 stream, recorded with the itertools filter
+    stream = "".join(map(repr, enumerate_forests(8, 7)))
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "6e7745ec29a0fd6e800eed498a350b0d9ddd95c0c75fef035f9a035f6b86f8be"
+    )
+
+
+def test_forest_enumeration_l8_matches_recurrence():
+    for r in range(8):
+        assert count_forests_enumerated(8, r) == count_forests(8, r).value
+
+
+@pytest.mark.parametrize("l, r", [(-2, 0), (9, 0), (3, -1)])
+def test_enumerate_forests_rejects_bad_arguments(l, r):
+    message = f"r must be non-negative, got {r}" if r < 0 else rf"l must be in \[0, 8\], got {l}"
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_forests(l, r))
+
+
+@pytest.mark.parametrize("m", [0, 5, -1])
+def test_rooted_forest_enumeration_rejects_bad_m(m):
+    with pytest.raises(ValueError, match=rf"need 1 <= m <= l, got l=3, m={m}"):
+        rooted_forest_count_enumerated(3, m)
 
 
 def test_rooted_forest_closed_form_exponent():
