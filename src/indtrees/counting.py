@@ -119,7 +119,7 @@ def _phi(l: int, r: int) -> int:
 def count_forests(l: int, r: int) -> ForestCount:
     """Exact phi(l, r) for l <= 9 (component recurrence, validated against enumeration)."""
     if not (1 <= l <= MAX_FOREST_L):
-        raise ValueError(f"l must be in [1, {MAX_FOREST_L}]")
+        raise ValueError(f"l must be in [1, {MAX_FOREST_L}], got {l}")
     if not (0 <= r <= l - 1):
         raise ValueError(f"need 0 <= r <= l-1, got l={l}, r={r}")
     return ForestCount(l, r, _phi(l, r))

@@ -67,7 +67,6 @@ class ExperimentConfig:
     delta: float
     solver: SolverSpec
     master_seed: int
-    output_path: str | None = None
     workers: int = 1
 
     def validate(self) -> None:
@@ -75,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.n_values:
             raise ConfigError("n_values must be non-empty")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ConfigError(f"n_values must not repeat an n, got {list(self.n_values)}")
         if self.solver.kind not in ("exact", "greedy"):
             raise ConfigError(f"unknown solver kind {self.solver.kind!r}")
         for n in self.n_values:
@@ -106,7 +107,6 @@ class ExperimentConfig:
                     int(solver.get("restarts", 100)),
                 ),
                 master_seed=int(d["master_seed"]),
-                output_path=d.get("output_path"),
                 workers=int(d.get("workers", 1)),
             )
         except (KeyError, TypeError, ValueError) as exc:

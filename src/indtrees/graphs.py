@@ -13,8 +13,7 @@ import numpy as np
 from .rng import Seed
 
 MAX_N = 65_536  # bitset width ceiling
-_GEOMETRIC_SKIP_THRESHOLD = 4096  # above this, sample sparse p by run-length skipping
-_DRAW_BLOCK = 1 << 20  # uniforms per rng.random call in the sampler
+_DRAW_BLOCK = 1 << 20  # gaps per rng.geometric call in the sampler
 _ROW_BLOCK = 1024  # adjacency rows staged per byte buffer
 _LOOP_EDGES = 128  # up to this many edges, a per-edge loop builds rows faster than numpy
 _READ_LINES = 512  # lines read_graph splits at a time: fewer lists than gc's gen-0 trigger (700)
@@ -192,18 +191,6 @@ def _pair_endpoints(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return us, idx - starts[us] + us + 1
 
 
-def _skip_gaps(u: np.ndarray, logq: float, m: int) -> np.ndarray:
-    """Geometric gaps floor(log1p(-u) / logq), clipped at m before the int64 cast.
-
-    math.log1p, not np.log1p: the two differ in the last ulp on ~7 % of
-    inputs, which can move a floor and so an edge. A subnormal p makes the
-    quotient overflow to inf, which the clip turns into "no further edge".
-    """
-    logs = np.fromiter(map(math.log1p, (-u).tolist()), dtype=np.float64, count=u.size)
-    with np.errstate(over="ignore"):
-        return np.minimum(logs / logq, m).astype(np.int64)
-
-
 def _sample_pair_index(n: int, p: float, seed: Seed) -> np.ndarray:
     """Sorted lexicographic pair indices of the edges of G(n, p); see sample_gnp."""
     m = n * (n - 1) // 2
@@ -212,34 +199,31 @@ def _sample_pair_index(n: int, p: float, seed: Seed) -> np.ndarray:
     if p == 1.0:
         return np.arange(m, dtype=np.int64)
     rng = seed.generator()
-    if n <= _GEOMETRIC_SKIP_THRESHOLD:
-        below = np.empty(m, dtype=bool)
-        for start in range(0, m, _DRAW_BLOCK):
-            np.less(rng.random(min(_DRAW_BLOCK, m - start)), p, out=below[start:start + _DRAW_BLOCK])
-        return np.flatnonzero(below)
+    # Each rng.geometric draw is the step from one edge to the next (the gap
+    # plus one). Clipping at m + 1 keeps the cumulative sum in int64 (a tiny
+    # p draws INT64_MAX) and still steps past the last pair. Blocks read the
+    # stream in order and the draws past the last edge are discarded with
+    # the local generator, so the graph does not depend on _DRAW_BLOCK.
     hits = []
-    # blocks of draws from the same stream as one draw per gap; draws
-    # past the last edge are discarded with the local generator
-    logq = math.log1p(-p)
     last = -1
     while True:
         expect = (m - last) * p
-        k = min(_DRAW_BLOCK, int(expect + 4 * math.sqrt(expect)) + 64)
-        pos = last + np.cumsum(_skip_gaps(rng.random(k), logq, m) + 1)
+        k = min(_DRAW_BLOCK, m - last, int(expect + 4 * math.sqrt(expect)) + 64)
+        pos = last + np.cumsum(np.minimum(rng.geometric(p, k), m + 1))
         end = int(np.searchsorted(pos, m))
         hits.append(pos[:end])
         if end < k:
-            break
+            return hits[0] if len(hits) == 1 else np.concatenate(hits)
         last = int(pos[-1])
-    return np.concatenate(hits)
 
 
 def sample_gnp(n: int, p: float, seed: Seed) -> Graph:
     """Sample G(n,p): each pair joined independently with probability p.
 
-    Deterministic per (n, p, seed). Dense path draws one uniform per pair;
-    above _GEOMETRIC_SKIP_THRESHOLD vertices the gaps between edges are
-    sampled geometrically instead.
+    Deterministic per (n, p, seed). The gaps between consecutive edges in
+    lexicographic pair order are drawn as geometric variables (Batagelj and
+    Brandes, Phys. Rev. E 71, 2005), so the work is proportional to the
+    number of edges.
     """
     if math.isnan(p) or not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")

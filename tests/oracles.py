@@ -67,6 +67,14 @@ def monte_carlo_tree_count(
     return mean, stderr
 
 
+def uniform_gnp(n: int, p: float, seed: Seed) -> Graph:
+    """G(n,p) drawn with one uniform per pair in lexicographic order, a pair
+    joined when its uniform is below p; the solver pins are recorded on these
+    graphs, so they follow the solver and not the sampler's stream."""
+    below = seed.generator().random(n * (n - 1) // 2) < p
+    return Graph._from_pair_index(n, np.flatnonzero(below))
+
+
 def adjacency_rows(n: int, edges) -> tuple[int, ...]:
     """Neighbour bitmasks on [n], one pair of bit operations per edge."""
     adj = [0] * n

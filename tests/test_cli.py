@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -79,6 +80,20 @@ def test_oracle_overlap_stdout_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fc0cb8c2e135d00ab12cf792d1f11707acbff5f7e3fa17b79f9aefe67bce1a9f"
     )
+
+
+def test_oracle_overlap_sum_line_states_cayley_square(capsys, monkeypatch):
+    # the right-hand side is (k^(k-2))^2 = 256 at k = 4, whatever the table sums to
+    count = counting.count_overlap_pairs
+
+    def doubled(k, l):
+        table = count(k, l)
+        return dataclasses.replace(table, pairs_total=tuple(2 * n for n in table.pairs_total))
+
+    monkeypatch.setattr(counting, "count_overlap_pairs", doubled)
+    code, out, _ = run_cli(capsys, "oracle", "overlap", "--k", "4", "--l", "3")
+    assert code == 0
+    assert "sum            512  (= (k^(k-2))^2 = 256)" in out.splitlines()
 
 
 def test_oracle_overlap_counts_table_once(capsys, monkeypatch):
@@ -283,6 +298,24 @@ def _write_config(path, **fields):
     }
     cfg.update(fields)
     path.write_text(json.dumps(cfg))
+
+
+def test_experiment_run_rejects_repeated_n(capsys, tmp_path):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg, n_values=[8, 8], trials=3)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", "n_values must not repeat an n, got [8, 8]")
+    _write_config(cfg, n_values=[8, 9], trials=3)
+    code, out, _ = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("n=")] == [
+        "n=8 p=0.4", "n=9 p=0.4"
+    ]
 
 
 def test_experiment_run_prints_concentration_report(capsys, tmp_path):

@@ -61,6 +61,15 @@ def test_config_validation():
         small_config(p_rule=PRule("reciprocal_log", 0.5), n_values=(1,)).validate()
 
 
+def test_config_rejects_repeated_n():
+    small_config(n_values=(8, 9)).validate()
+    for repeated in ((8, 8), (8, 9, 8)):
+        with pytest.raises(ConfigError, match="repeat"):
+            small_config(n_values=repeated).validate()
+        with pytest.raises(ConfigError, match="repeat"):
+            run_experiment(small_config(n_values=repeated, trials=3))
+
+
 def test_config_warns_outside_theorem_range():
     with pytest.warns(UserWarning):
         small_config(p_rule=PRule("power", 0.5), n_values=(100,)).validate()
@@ -82,6 +91,9 @@ def test_config_json_round_trip(tmp_path):
         )
     )
     assert ExperimentConfig.from_json(path) == cfg
+    # a config written when output_path was a field still loads
+    doc = json.loads(path.read_text())
+    assert ExperimentConfig.from_dict({**doc, "output_path": "out/x.csv"}) == cfg
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n_values": [10]})  # missing fields
 
@@ -211,17 +223,17 @@ def test_canonical_export_byte_identical(tmp_path):
     export_json(run_experiment(cfg), j1)
     export_json(run_experiment(cfg, workers=2), j2)
     assert j1.read_bytes() == j2.read_bytes()
-    # SHA-256 of records.csv and result.json, recorded with the earlier
-    # LogReal-based code, for one exact and one greedy config
+    # SHA-256 of records.csv and result.json for one exact and one greedy
+    # config, recorded with the geometric-skip sampler
     greedy = small_config(solver=SolverSpec("greedy", restarts=5), trials=6, n_values=(10, 14))
     pinned = {
         cfg: (
-            "86f9548cf0c1786cfda3030d26d7c03bad54278acb37f4cf188087f60f47eaae",
-            "22e7e81aecd4c39f72d97adc2aa034c13ed2f574ced02176e234c28b4ea346d6",
+            "d9ffa8757085b6534ddac58ae60b8dd3ee76b454fcaba4b7a0f24b3bc52f5703",
+            "70c5ae939632414bcca4799c6665631450ddb9f9394c8617c9ffc2a9c1662253",
         ),
         greedy: (
-            "50e7f2f12468efd88802a28d311a4e7c0db78f6ec6ba0892c376b2168b061063",
-            "702804f7386be7a50beb99ebb621a2e44adae3497cd8f28aa70c38615fceff90",
+            "d83c94b7b42689fc9d07faa83f01358f1ea6af8cfe804668401e0d67e8f294f5",
+            "78d3130209ec6fba7c9c34a7c84789727088826ee88cf1610b98f5ba71479607",
         ),
     }
     for config, (csv_sha, json_sha) in pinned.items():

