@@ -13,6 +13,7 @@ from .counting import (
     cayley,
     count_forests,
     count_forests_enumerated,
+    extensions_match_enumeration,
     rooted_forest_count_closed_form,
     rooted_forest_count_enumerated,
     validate_overlap_bounds,
@@ -100,8 +101,9 @@ def _cmd_oracle_forests(args) -> int:
 
 
 def _cmd_oracle_validate(args) -> int:
-    """Overlap bounds and partition for k <= kmax, forest counts for l <= 7 and
-    rooted-forest counts for n <= 6, each against exact enumeration."""
+    """Overlap bounds, partition and extension counts t(F) for k <= kmax,
+    forest counts for l <= 7 and rooted-forest counts for n <= 6, each
+    against exact enumeration."""
     if not (2 <= args.kmax <= MAX_OVERLAP_K):
         raise ValueError(f"--kmax must be in [2, {MAX_OVERLAP_K}], got {args.kmax}")
     all_ok = True
@@ -112,11 +114,13 @@ def _cmd_oracle_validate(args) -> int:
             rows = _bound_rows_json(report)
             bounds_ok = all(row["ok"] for row in rows)
             partition_ok = sum(row.n_total for row in report.rows) == cayley(k) ** 2
-            all_ok = all_ok and bounds_ok and partition_ok
+            extensions_ok = extensions_match_enumeration(k, l)
+            all_ok = all_ok and bounds_ok and partition_ok and extensions_ok
             payload.append({"k": k, "l": l, "rows": rows})
             print(
                 f"k={k} l={l}: {'ok' if bounds_ok else 'VIOLATION'}"
                 f"{'' if partition_ok else ', PARTITION MISMATCH'}"
+                f"{'' if extensions_ok else ', EXTENSION MISMATCH'}"
             )
     for l in range(1, 8):
         ok = all(count_forests(l, r).value == count_forests_enumerated(l, r) for r in range(l))

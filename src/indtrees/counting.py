@@ -1,7 +1,8 @@
 """Exact counting of labeled trees, forests, and overlapping tree pairs.
 
-Everything here is integer-exact and small-scale by design; these counts are
-the ground truth against which the analytic bounds in `moments` are checked.
+Everything here is integer-exact. Overlap and extension counts come in closed
+form at any k, and enumeration of small cases cross-checks them; these counts
+are the ground truth against which the analytic bounds in `moments` are checked.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .graphs import forest_components
 from .logreal import pow_log
 
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
-MAX_OVERLAP_K = 7  # 7^5 = 16807 trees per family; the l=7 transform spans 36961 forests
+MAX_OVERLAP_K = 7  # validate_overlap_bounds' float bounds and the enumeration cross-check
 MAX_FOREST_L = 9
 _PRUFER_BATCH = 2048  # rows per numpy step in the tree and forest streams
 
@@ -101,28 +102,32 @@ def count_forests_enumerated(l: int, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _phi(l: int, r: int) -> int:
-    # forests on [l] with r edges, by recursing on the component of vertex 0:
-    # choose its size j, a tree on it, and a forest on the rest
-    if r < 0 or r > l - 1 and l > 0:
-        return 0
-    if l == 0:
-        return 1 if r == 0 else 0
-    total = 0
-    for j in range(1, l + 1):
-        if r - (j - 1) < 0:
-            continue
-        total += math.comb(l - 1, j - 1) * cayley(j) * _phi(l - j, r - j + 1)
-    return total
+def _forest_weights(l: int, power: int) -> tuple[int, ...]:
+    """Sum of prod c_i^power over the forests on [l] with m trees of sizes
+    c_1..c_m, for m = 0..l: power 0 counts forests, power 2 gives psi.
+
+    Built bottom-up over the number of vertices n: the tree holding vertex 0
+    has j vertices, chosen in C(n-1, j-1) ways and spanned in cayley(j) ways,
+    and the other n - j vertices carry a forest with one tree fewer.
+    """
+    rows = [(1,)]  # n = 0: the empty forest
+    for n in range(1, l + 1):
+        row = [0] * (n + 1)
+        for j in range(1, n + 1):
+            weight = math.comb(n - 1, j - 1) * cayley(j) * j**power
+            for m, w in enumerate(rows[n - j]):
+                row[m + 1] += weight * w
+        rows.append(tuple(row))
+    return rows[l]
 
 
 def count_forests(l: int, r: int) -> ForestCount:
-    """Exact phi(l, r) for l <= 9 (component recurrence, validated against enumeration)."""
+    """Exact phi(l, r) for l <= 9 (forest-weight table, validated against enumeration)."""
     if not (1 <= l <= MAX_FOREST_L):
         raise ValueError(f"l must be in [1, {MAX_FOREST_L}], got {l}")
     if not (0 <= r <= l - 1):
         raise ValueError(f"need 0 <= r <= l-1, got l={l}, r={r}")
-    return ForestCount(l, r, _phi(l, r))
+    return ForestCount(l, r, _forest_weights(l, 0)[l - r])
 
 
 def _forest_blocks(
@@ -227,16 +232,9 @@ class OverlapTable:
 
 
 def _restriction_masks(k: int, l: int) -> dict[int, int]:
-    """Histogram of the edge masks that the trees on {0..k-1} induce on {0..l-1}.
-
-    In the overlap pairs, family A lives on {0..k-1} with shared vertices
-    {k-l..k-1}, and family B on {k-l..2k-l-1} with the same shared vertices,
-    enumerated as trees on {0..k-1} whose first l labels are the shared ones.
-    Relabeling v -> (v + l) mod k is a bijection of the trees on {0..k-1}
-    that maps {k-l..k-1} onto {0..l-1} in order, so it carries family A's
-    restriction of each tree onto family B's restriction of its image: both
-    families have this one histogram.
-    """
+    """Histogram of the edge masks that the trees on {0..k-1} induce on
+    {0..l-1}, bit i for the i-th pair of itertools.combinations(range(l), 2):
+    the enumeration that extensions_match_enumeration checks t(F) against."""
     bit = np.zeros(k * k, dtype=np.int64)  # edge code -> its bit in the shared-set mask
     for i, (u, v) in enumerate(itertools.combinations(range(l), 2)):
         bit[u * k + v] = 1 << i
@@ -247,65 +245,70 @@ def _restriction_masks(k: int, l: int) -> dict[int, int]:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _superset_sums(hist: dict[int, int], bits: int) -> dict[int, int]:
-    """Map each subset S of a key of hist to the sum of hist over the keys
-    containing S (the zeta transform), one bit at a time.
-
-    The keys here are forests on the shared set, and every subset of a forest
-    is a forest, so the result is keyed by forest masks only."""
-    sums = dict(hist)
-    for i in range(bits):
-        bit = 1 << i
-        for mask in [m for m in sums if m & bit]:
-            sums[mask ^ bit] = sums.get(mask ^ bit, 0) + sums[mask]
-    return sums
-
-
 def count_overlap_pairs(k: int, l: int) -> OverlapTable:
-    """Exact N(k, l, r) for all r, from one pass over the Prüfer stream.
+    """Exact N(k, l, r) for all r, in closed form (Moon, Counting Labelled
+    Trees, 1970); tests.oracles.count_overlap_pairs_pairwise enumerates them.
 
-    Both tree families restrict to the shared set with the same histogram
-    (see _restriction_masks). With a(S) the number of trees whose restriction
-    contains the edge set S, G(j) = sum over |S| = j of a(S)^2 counts each
-    pair sharing r edges C(r, j) times, so N(k, l, r) follows from G by
-    binomial inversion (superset sums, as in Björklund-Husfeldt-Kaski-Koivisto
-    subset convolution). Matching pairs pair equal restrictions directly.
+    Relabeled to [l], the shared set meets both families alike. With psi(l, m)
+    the sum of prod c_i^2 over its forests with m trees, each r-edge forest F
+    pairs with itself t(F)^2 times (see count_trees_extending_forest), so
+    N_match(r) = k^(2(s-1)) s^(2(m-1)) psi(l, m), s = k - l, m = l - r. A
+    j-edge forest S lies in a(S) = k^(k-j-2) prod c_i trees on [k], so
+    G(j) = sum over |S| = j of a(S)^2 = k^(2(k-j-2)) psi(l, l-j) counts each
+    pair sharing r edges C(r, j) times; binomial inversion gives N.
     """
-    if not (2 <= l <= k <= MAX_OVERLAP_K):
-        raise ValueError(f"need 2 <= l <= k <= {MAX_OVERLAP_K}, got k={k}, l={l}")
-    hist = _restriction_masks(k, l)
-    g = [0] * l  # G(j); a forest on l vertices has at most l-1 edges
-    for mask, count in _superset_sums(hist, l * (l - 1) // 2).items():
-        g[mask.bit_count()] += count * count
+    if not (2 <= l <= k):
+        raise ValueError(f"need 2 <= l <= k, got k={k}, l={l}")
+    psi = _forest_weights(l, 2)
+    s = k - l
+    # the factor k^-2 divides exactly, also at j = k - 1 and s = 0, where psi
+    # holds k^2 per spanning tree of [l] (see count_trees_extending_forest)
+    g = [k ** (2 * (k - j - 1)) * psi[l - j] // k**2 for j in range(l)]
     total = [
         sum((-1) ** (j - r) * math.comb(j, r) * g[j] for j in range(r, l))
         for r in range(l)
     ]
-    matching = [0] * l
-    for mask, count in hist.items():
-        matching[mask.bit_count()] += count * count
+    matching = [(k**s * s ** (l - r - 1)) ** 2 * psi[l - r] // k**2 for r in range(l)]
     return OverlapTable(k, l, tuple(total), tuple(matching))
 
 
 def count_trees_extending_forest(
     k: int, forest: Iterable[tuple[int, int]], l: int
 ) -> int:
-    """Number of trees on {0..k-1} that induce exactly the given forest on {0..l-1}."""
-    if k > 8:
-        raise ValueError("limited to k <= 8")
+    """Number of trees on {0..k-1} that induce exactly the given forest on {0..l-1}.
+
+    With c_1..c_m the sizes of the forest's m trees and s = k - l >= 1, this is
+    t(F) = prod c_i * k^(s-1) * s^(m-1): the spanning trees of the complete
+    multipartite graph that contracts each tree of F to one vertex of weight
+    c_i (Moon, Counting Labelled Trees, 1970). At s = 0 it is 1 if F spans
+    [l] and 0 otherwise; l = 0 leaves cayley(k). extensions_match_enumeration
+    is the oracle.
+    """
+    if not (0 <= l <= k and k >= 1):
+        raise ValueError(f"need 0 <= l <= k and k >= 1, got k={k}, l={l}")
     forest = tuple(tuple(sorted(e)) for e in forest)
     for (a, b) in forest:
         if not (0 <= a < b < l):
             raise ValueError(f"forest edge ({a},{b}) outside [0, {l})")
-    if forest_components(l, forest) is None:
+    sizes = forest_components(l, forest)
+    if sizes is None:
         raise ValueError("input is not a forest")
-    target = frozenset(forest)
-    count = 0
-    for tree in enumerate_labeled_trees(k):
-        restriction = frozenset(e for e in tree if e[1] < l)
-        if restriction == target:
-            count += 1
-    return count
+    if l == 0:
+        return cayley(k)
+    # k divides k^s for s >= 1; at s = 0, prod c_i = k if F spans and 0^(m-1) = 0 if not
+    return math.prod(sizes) * k ** (k - l) * (k - l) ** (len(sizes) - 1) // k
+
+
+def extensions_match_enumeration(k: int, l: int) -> bool:
+    """Whether count_trees_extending_forest equals the enumerated restriction
+    histogram on every forest on [l] (2 <= k <= MAX_TREE_K, l <= min(k, 8)),
+    with no other mask in the histogram: the oracle for the closed forms."""
+    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(l), 2))}
+    closed = {}
+    for r in range(l):
+        for forest in enumerate_forests(l, r):
+            closed[sum(map(bit.get, forest))] = count_trees_extending_forest(k, forest, l)
+    return {mask: t for mask, t in closed.items() if t} == _restriction_masks(k, l)
 
 
 @dataclass(frozen=True)
@@ -343,6 +346,8 @@ def validate_overlap_bounds(
     r, or the product bound outside its l <= k - 2(1-p)/p hypothesis) is
     reported as not applicable rather than failed.
     """
+    if not (2 <= l <= k <= MAX_OVERLAP_K):
+        raise ValueError(f"need 2 <= l <= k <= {MAX_OVERLAP_K}, got k={k}, l={l}")
     table = count_overlap_pairs(k, l)
     tk = cayley(k)
     rows = []

@@ -78,6 +78,12 @@ class ExperimentConfig:
             raise ConfigError(f"n_values must not repeat an n, got {list(self.n_values)}")
         if self.solver.kind not in ("exact", "greedy"):
             raise ConfigError(f"unknown solver kind {self.solver.kind!r}")
+        if self.solver.budget < 1 or self.solver.restarts < 1:
+            raise ConfigError(f"solver budget and restarts must be >= 1, got {self.solver}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not (0 <= self.master_seed < 1 << 64):
+            raise ConfigError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         for n in self.n_values:
             if n < 1:
                 raise ConfigError(f"n must be positive, got {n}")
@@ -270,6 +276,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     config.validate()
     if workers is None:
         workers = config.workers
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     jobs = []
     stream = 0
     for n in config.n_values:

@@ -65,6 +65,8 @@ def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     minimum-index vertex. Budget counts branch expansions; exhaustion returns
     the incumbent with optimal=False.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     n = g.n
     if n == 0:
         return SolveResult(0, VertexSet(0), 0, True)
@@ -121,6 +123,8 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
     `twice`, so the addable ones are `pool & once`. The draw takes the r-th
     lowest of them, with r uniform below their count.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     n = g.n
     if n == 0:
         return SolveResult(0, VertexSet(0), 0, False)
@@ -128,7 +132,7 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
     rng = seed.generator()
     best_size = 1
     best_mask = 1
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         root = int(rng.integers(n))
         tree = 1 << root
         size = 1

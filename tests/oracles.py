@@ -47,13 +47,9 @@ def monte_carlo_tree_count(
     # labeled vertices give the admissible patterns
     local_pairs = list(itertools.combinations(range(k), 2))
     weights = (1 << np.arange(len(local_pairs), dtype=np.int64))
-    tree_codes = []
+    is_tree_code = np.zeros(1 << len(local_pairs), dtype=bool)  # indexed by pattern
     for tree in enumerate_labeled_trees(k):
-        code = 0
-        for e in tree:
-            code |= 1 << local_pairs.index(e)
-        tree_codes.append(code)
-    tree_codes = np.unique(np.array(tree_codes, dtype=np.int64))
+        is_tree_code[sum(1 << local_pairs.index(e) for e in tree)] = True
 
     counts = np.empty(trials, dtype=np.int64)
     for t in range(trials):
@@ -61,7 +57,7 @@ def monte_carlo_tree_count(
         edgevec = np.zeros(m, dtype=np.int64)
         edgevec[_sample_pair_index(n, p, seed.with_stream(t))] = 1
         codes = edgevec[sub_pairs] @ weights
-        counts[t] = np.count_nonzero(np.isin(codes, tree_codes))
+        counts[t] = np.count_nonzero(is_tree_code[codes])
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return mean, stderr
@@ -141,6 +137,15 @@ def forests_by_filter(l: int, r: int):
     for sub in itertools.combinations(all_edges, r):
         if forest_components(l, sub) is not None:
             yield sub
+
+
+def forest_masks(l: int):
+    """(mask, forest) for every forest on [l], bit i of the mask for the i-th
+    pair of itertools.combinations(range(l), 2)."""
+    pair_bit = {p: i for i, p in enumerate(itertools.combinations(range(l), 2))}
+    for r in range(l):
+        for forest in forests_by_filter(l, r):
+            yield sum(1 << pair_bit[e] for e in forest), forest
 
 
 def restriction_masks_loop(k: int, l: int) -> dict[int, int]:

@@ -207,6 +207,22 @@ def assert_one_line_error(err, *fragments):
         assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--budget", "0"), "budget must be >= 1, got 0"),
+        (("--greedy", "--restarts", "-4"), "restarts must be >= 1, got -4"),
+        (("--greedy", "--restarts", "0"), "restarts must be >= 1, got 0"),
+    ],
+)
+def test_solve_rejects_bad_budget_and_restarts(capsys, tmp_path, argv, message):
+    path = tmp_path / "g.txt"
+    run_cli(capsys, "sample", "--n", "12", "--p", "0.4", "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), *argv)
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees solve:", message)
+
+
 def test_solve_missing_file_exits_3(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     code, out, err = run_cli(capsys, "solve", "--in", str(missing))
@@ -277,6 +293,16 @@ def test_oracle_validate_forest_mismatch_exits_1(capsys, monkeypatch):
     assert "forests l=1: MISMATCH" in out
 
 
+def test_oracle_validate_extension_mismatch_exits_1(capsys, monkeypatch):
+    masks = counting._restriction_masks
+    monkeypatch.setattr(counting, "_restriction_masks", lambda k, l: {**masks(k, l), 0: -1})
+    code, out, _ = run_cli(capsys, "oracle", "validate", "--kmax", "3")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("k=")] == [
+        f"k={k} l={l}: ok, EXTENSION MISMATCH" for k, l in ((2, 2), (3, 2), (3, 3))
+    ]
+
+
 def test_oracle_range_errors_leave_stdout_empty(capsys):
     for kmax in ("9", "1", "0", "-3"):
         code, out, err = run_cli(capsys, "oracle", "validate", "--kmax", kmax)
@@ -316,6 +342,36 @@ def test_experiment_run_rejects_repeated_n(capsys, tmp_path):
     assert [line for line in out.splitlines() if line.startswith("n=")] == [
         "n=8 p=0.4", "n=9 p=0.4"
     ]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"solver": {"kind": "exact", "budget": 0}}, "budget and restarts must be >= 1"),
+        ({"solver": {"kind": "greedy", "restarts": -4}}, "budget and restarts must be >= 1"),
+        ({"workers": -2}, "workers must be >= 1, got -2"),
+        ({"master_seed": -1}, "master_seed must be in [0, 2^64), got -1"),
+        ({"master_seed": 2**64}, f"master_seed must be in [0, 2^64), got {2**64}"),
+    ],
+)
+def test_experiment_run_rejects_bad_solver_and_worker_settings(capsys, tmp_path, fields, message):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg, **fields)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", message)
+
+
+def test_experiment_run_rejects_workers_flag_below_1(capsys, tmp_path):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--workers", "0", "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", "workers must be >= 1, got 0")
 
 
 def test_experiment_run_prints_concentration_report(capsys, tmp_path):

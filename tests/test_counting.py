@@ -22,6 +22,7 @@ from indtrees.counting import (
 from indtrees.graphs import Graph, is_tree
 from oracles import (
     count_overlap_pairs_pairwise,
+    forest_masks,
     forests_by_filter,
     prufer_trees,
     restriction_masks_loop,
@@ -93,6 +94,14 @@ def test_forest_recurrence_matches_enumeration():
     for l in range(1, 7):
         for r in range(l):
             assert count_forests(l, r).value == count_forests_enumerated(l, r)
+
+
+def test_rooted_forest_weights_match_closed_form():
+    # power 1 weights each forest by its root choices
+    for n in range(1, 31):
+        weights = counting._forest_weights(n, 1)
+        assert weights[0] == 0
+        assert list(weights[1:]) == [rooted_forest_count_closed_form(n, m) for m in range(1, n + 1)]
 
 
 def test_forest_known_row():
@@ -253,6 +262,51 @@ def test_overlap_partition_small():
     for k in range(2, 6):
         for l in range(2, k + 1):
             assert count_overlap_pairs(k, l).total() == cayley(k) ** 2
+
+
+def test_overlap_tables_pinned():
+    # SHA-256 of every table for 2 <= l <= k <= 7, recorded with the Prüfer
+    # enumeration and superset sums that the closed forms replaced
+    tables = [count_overlap_pairs(k, l) for k in range(2, 8) for l in range(2, k + 1)]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "e77f6fb391bd00c54a95b80078b9ce990bb8a1a0a33fdc517e8c35e52047d06b"
+    )
+
+
+@pytest.mark.parametrize("k, l", [(60, 40), (120, 100)])
+def test_overlap_partition_past_enumeration(k, l):
+    table = count_overlap_pairs(k, l)
+    assert table.total() == cayley(k) ** 2
+    assert all(m <= t for m, t in zip(table.pairs_matching, table.pairs_total))
+
+
+def test_extension_counts_match_per_tree_histogram():
+    # t(F) against the per-tree restriction loop, on every forest on [l]
+    for k in range(2, 8):
+        for l in range(1, k + 1):
+            hist = restriction_masks_loop(k, l)
+            closed = {
+                mask: count_trees_extending_forest(k, forest, l)
+                for mask, forest in forest_masks(l)
+            }
+            assert set(hist) <= set(closed), (k, l)
+            assert all(hist.get(mask, 0) == t for mask, t in closed.items()), (k, l)
+            assert counting.extensions_match_enumeration(k, l)
+
+
+def test_extension_count_edge_cases():
+    for k in range(1, 7):
+        assert count_trees_extending_forest(k, (), 0) == cayley(k)
+        with pytest.raises(ValueError, match="need 0 <= l <= k"):
+            count_trees_extending_forest(k, (), k + 1)
+    assert count_trees_extending_forest(4, ((0, 1), (1, 2), (2, 3)), 4) == 1
+    assert count_trees_extending_forest(4, ((0, 1), (2, 3)), 4) == 0
+    with pytest.raises(ValueError, match="k >= 1"):
+        count_trees_extending_forest(0, (), 0)
+    with pytest.raises(ValueError, match="not a forest"):
+        count_trees_extending_forest(5, ((0, 1), (1, 2), (0, 2)), 3)
+    # no size limit: one edge on [2] inside [40] lies in 2 * 40^37 * 38^0 trees
+    assert count_trees_extending_forest(40, ((0, 1),), 2) == 2 * 40**37
 
 
 def test_matching_pairs_from_extension_counts():

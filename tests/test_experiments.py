@@ -61,6 +61,32 @@ def test_config_validation():
         small_config(p_rule=PRule("reciprocal_log", 0.5), n_values=(1,)).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"solver": SolverSpec("exact", budget=0)}, "budget and restarts"),
+        ({"solver": SolverSpec("greedy", restarts=-4)}, "budget and restarts"),
+        ({"solver": SolverSpec("greedy", restarts=0)}, "budget and restarts"),
+        ({"workers": -2}, "workers must be >= 1"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"master_seed": -1}, "master_seed"),
+        ({"master_seed": 2**64}, "master_seed"),
+    ],
+)
+def test_config_rejects_bad_solver_worker_and_seed_settings(overrides, message):
+    small_config(master_seed=2**64 - 1).validate()
+    with pytest.raises(ConfigError, match=message):
+        small_config(**overrides).validate()
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(small_config(**overrides, trials=1))
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_experiment_rejects_workers_argument_below_1(workers):
+    with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+        run_experiment(small_config(trials=1), workers=workers)
+
+
 def test_config_rejects_repeated_n():
     small_config(n_values=(8, 9)).validate()
     for repeated in ((8, 8), (8, 9, 8)):

@@ -155,6 +155,22 @@ def test_search_matches_pinned_records(n, p, stream, size, nodes, mask):
     )
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_search_rejects_budget_below_1(budget):
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+        max_induced_tree(path_graph(4), budget=budget)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        max_induced_tree(Graph(0, []), budget=budget)
+
+
+@pytest.mark.parametrize("restarts", [0, -4])
+def test_greedy_rejects_restarts_below_1(restarts):
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        greedy_tree_lower_bound(path_graph(4), restarts, Seed(1))
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        greedy_tree_lower_bound(Graph(0, []), restarts, Seed(1))
+
+
 def test_search_pinned_with_budget_and_at_n40():
     starved = max_induced_tree(sample_gnp(18, 0.3, Seed(5, 0)), budget=3)
     assert (starved.size, starved.nodes_explored, starved.witness.mask) == (3, 3, 13)
