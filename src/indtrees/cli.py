@@ -149,16 +149,9 @@ def _cmd_moments_varbound(args) -> int:
         k = math.floor(solve_k_hat(args.n, args.p).root - 0.5)
     vb = variance_ratio_bound(args.n, args.p, k, args.w_exponent)
     print("part,ell,log_summand")
-    for (part, ell, v) in vb.entries:
+    for part, ell, v in vb.rows():
         print(f"{part},{ell},{v!r}")
-    print(
-        json.dumps(
-            {
-                "part_sums": {k: v for k, v in vb.part_log_sums.items()},
-                "total": vb.log_total,
-            }
-        )
-    )
+    print(json.dumps({"part_sums": vb.part_log_sums, "total": vb.log_total}))
     return 0
 
 

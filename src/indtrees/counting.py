@@ -133,10 +133,10 @@ def count_forests(l: int, r: int) -> ForestCount:
 def _forest_blocks(
     rows: np.ndarray, labels: np.ndarray, last: np.ndarray, more: int,
     us: np.ndarray, vs: np.ndarray,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Extend each forest row by `more` further edges, each of index above the
     row's last, and yield the results in lexicographic order, in blocks of at
-    most _PRUFER_BATCH rows.
+    most _PRUFER_BATCH rows, each block with its rows' labels.
 
     A row is a forest's edge indices into (us, vs) in increasing order, with
     labels[row] a component label per vertex. An edge extends a row when its
@@ -147,7 +147,7 @@ def _forest_blocks(
     for start in range(0, len(rows), _PRUFER_BATCH):
         block = slice(start, start + _PRUFER_BATCH)
         if more == 0:
-            yield rows[block]
+            yield rows[block], labels[block]
             continue
         lab = labels[block]
         lu, lv = lab[:, us], lab[:, vs]
@@ -158,22 +158,30 @@ def _forest_blocks(
         yield from _forest_blocks(grown, merged, edge[:, None], more - 1, us, vs)
 
 
-def enumerate_forests(l: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All forests on [l] with r edges (l <= 8), in itertools.combinations order,
-    grown one edge at a time from the empty forest (see _forest_blocks)."""
+def _forests(l: int, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (rows, labels) blocks of the forests on [l] (l <= 8) with r edges,
+    grown from the empty forest by _forest_blocks."""
     if not (0 <= l <= 8):
         raise ValueError(f"l must be in [0, 8], got {l}")
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
+    us, vs = np.triu_indices(l, 1)  # the pairs in combinations order
+    empty = np.zeros((1, 0), dtype=np.int8)
+    labels = np.arange(l, dtype=np.int8)[None, :]
+    return _forest_blocks(empty, labels, np.array([[-1]]), r, us, vs)
+
+
+def enumerate_forests(l: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All forests on [l] with r edges (l <= 8), in itertools.combinations order,
+    grown one edge at a time from the empty forest (see _forest_blocks)."""
+    blocks = _forests(l, r)
     if r == 0:
         yield ()
         return
-    us, vs = np.triu_indices(l, 1)  # the pairs in combinations order
+    us, vs = np.triu_indices(l, 1)
     pairs = np.empty(len(us), dtype=object)
     pairs[:] = list(zip(us.tolist(), vs.tolist()))
-    empty = np.zeros((1, 0), dtype=np.int8)
-    labels = np.arange(l, dtype=np.int8)[None, :]
-    for rows in _forest_blocks(empty, labels, np.array([[-1]]), r, us, vs):
+    for rows, _ in blocks:
         yield from _rows_as_tuples(pairs, rows)
 
 
@@ -189,11 +197,16 @@ def rooted_forest_count_closed_form(n: int, m: int) -> int:
 
 
 def rooted_forest_count_enumerated(l: int, m: int) -> int:
-    """Rooted forests on [l] with m trees: each forest weighted by the product
-    of its component sizes (one root choice per tree)."""
+    """Rooted forests on [l] with m trees (l <= 8): each forest weighted by the
+    product of its component sizes (one root choice per tree), counted from
+    the component labels that _forest_blocks keeps per vertex."""
     if not (1 <= m <= l):
         raise ValueError(f"need 1 <= m <= l, got l={l}, m={m}")
-    return sum(math.prod(forest_components(l, f)) for f in enumerate_forests(l, l - m))
+    total = 0
+    for _, labels in _forests(l, l - m):
+        sizes = (labels[:, :, None] == np.arange(l)).sum(axis=1)  # per row and label
+        total += int(np.prod(np.maximum(sizes, 1), axis=1).sum())
+    return total
 
 
 def f_piecewise(k: int, l: int, r: int) -> float:

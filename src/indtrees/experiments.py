@@ -33,6 +33,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _json_int(value, field: str) -> int:
+    """value if it is a JSON integer (not a bool, float or string), else a
+    ConfigError naming the field: int() would truncate 2.9 or parse "16"."""
+    if type(value) is not int:
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PRule:
     """Edge probability as a function of n: constant c, power n^-theta, or c/ln n."""
@@ -102,19 +110,23 @@ class ExperimentConfig:
         try:
             rule = d["p_rule"]
             solver = d.get("solver", {})
+            if type(d["n_values"]) is not list:
+                raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
             return ExperimentConfig(
-                n_values=tuple(int(n) for n in d["n_values"]),
+                n_values=tuple(_json_int(n, "n_values entry") for n in d["n_values"]),
                 p_rule=PRule(rule["kind"], float(rule["value"])),
-                trials=int(d["trials"]),
+                trials=_json_int(d["trials"], "trials"),
                 delta=float(d.get("delta", 0.5)),
                 solver=SolverSpec(
                     solver.get("kind", "exact"),
-                    int(solver.get("budget", DEFAULT_BUDGET)),
-                    int(solver.get("restarts", 100)),
+                    _json_int(solver.get("budget", DEFAULT_BUDGET), "solver.budget"),
+                    _json_int(solver.get("restarts", 100), "solver.restarts"),
                 ),
-                master_seed=int(d["master_seed"]),
-                workers=int(d.get("workers", 1)),
+                master_seed=_json_int(d["master_seed"], "master_seed"),
+                workers=_json_int(d.get("workers", 1), "workers"),
             )
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 

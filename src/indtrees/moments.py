@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from math import comb, e, lgamma, log, log1p, pi
-from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -314,18 +314,27 @@ def compute_profile(
 # variance-ratio bounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # no __eq__: entries is an ndarray
 class VarianceBound:
     n: int
     p: float
     k: int
     regime: str  # "sparse" (p < 1/(2 ln n)) or "dense"
-    entries: tuple[tuple[str, int, float], ...]  # (part, ell, log summand)
+    entries: np.ndarray  # float64; entries[ell - 2] is the log summand at ell, 2 <= ell < k
+    parts: tuple[tuple[str, int, int], ...]  # (part, lo, hi): lo <= ell < hi, from 2 to k
     part_log_sums: dict[str, float]  # -inf for an empty part
     log_total: float
 
     def part_sum(self, part: str) -> float:
         return self.part_log_sums.get(part, -math.inf)
+
+    def rows(self) -> Iterator[tuple[str, int, float]]:
+        """(part, ell, log summand) for each ell, as Python str, int and float
+        (a numpy scalar's repr would change the CSV), _BLOCK ells at a time."""
+        for name, lo, hi in self.parts:
+            for a in range(lo, hi, _BLOCK):
+                b = min(a + _BLOCK, hi)
+                yield from zip(repeat(name), range(a, b), self.entries[a - 2 : b - 2].tolist())
 
 
 def part3_r_star(p: float, k: int, ell: int) -> float:
@@ -541,16 +550,6 @@ def _part_ranges(p: float, k: int, sparse: bool, pts: PartitionPoints):
     return ranges
 
 
-def _entry_blocks(n: int, p: float, k: int, ranges):
-    """The entries (part, ell, log summand), a block of ells at a time. The
-    lgamma table goes with the generator, before the caller sums."""
-    terms = _OverlapTerms(n, p, k)
-    for name, lo, hi, summand in ranges:
-        for a in range(lo, hi, _BLOCK):
-            b = min(a + _BLOCK, hi)
-            yield zip(repeat(name), range(a, b), summand(terms, np.arange(a, b)).tolist())
-
-
 def variance_ratio_bound(
     n: int, p: float, k: int, w_exponent: float = DEFAULT_W_EXPONENT
 ) -> VarianceBound:
@@ -569,14 +568,19 @@ def variance_ratio_bound(
     sparse = p < 1 / (2 * log(n))
     pts = partition_points(n, p, k, _w(n, w_exponent))
     ranges = _part_ranges(p, k, sparse, pts)
-    entries = tuple(chain.from_iterable(_entry_blocks(n, p, k, ranges)))
-    values = np.fromiter(map(itemgetter(2), entries), float, len(entries))
+    terms = _OverlapTerms(n, p, k)
+    entries = np.empty(k - 2)
+    for _, lo, hi, summand in ranges:
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            entries[a - 2 : b - 2] = summand(terms, np.arange(a, b))
     return VarianceBound(
         n,
         p,
         k,
         "sparse" if sparse else "dense",
         entries,
-        {name: log_sum_exp(values[lo - 2 : hi - 2]) for name, lo, hi, _ in ranges},
-        log_sum_exp(values),
+        tuple((name, lo, hi) for name, lo, hi, _ in ranges),
+        {name: log_sum_exp(entries[lo - 2 : hi - 2]) for name, lo, hi, _ in ranges},
+        log_sum_exp(entries),
     )

@@ -2,6 +2,7 @@
 import itertools
 import math
 from math import comb, e, log, log1p
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from indtrees.graphs import (
 from indtrees.logreal import log_sum_exp
 from indtrees.moments import (
     DEFAULT_W_EXPONENT,
-    VarianceBound,
     _check_p,
     log_binom,
     log_expected_trees,
@@ -291,9 +291,16 @@ def _dense_tail_log(n: int, p: float, k: int, ell: int, log_ex: float) -> float:
     return base + best
 
 
+class LoopBound(NamedTuple):
+    regime: str
+    entries: tuple[tuple[str, int, float], ...]  # (part, ell, log summand)
+    part_log_sums: dict[str, float]
+    log_total: float
+
+
 def variance_ratio_bound_loop(
     n: int, p: float, k: int, w_exponent: float = DEFAULT_W_EXPONENT
-) -> VarianceBound:
+) -> LoopBound:
     """Per-overlap upper bounds on F_ell / (E X_k)^2 and their partial sums,
     one scalar evaluation per ell: the loop that variance_ratio_bound's numpy
     evaluation must reproduce bit for bit.
@@ -341,6 +348,4 @@ def variance_ratio_bound_loop(
         for name in part_names
     }
     total = log_sum_exp(v for (_, _, v) in entries)
-    return VarianceBound(
-        n, p, k, "sparse" if sparse else "dense", tuple(entries), part_log_sums, total
-    )
+    return LoopBound("sparse" if sparse else "dense", tuple(entries), part_log_sums, total)

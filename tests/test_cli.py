@@ -364,6 +364,31 @@ def test_experiment_run_rejects_bad_solver_and_worker_settings(capsys, tmp_path,
     assert_one_line_error(err, "config error:", message)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_values": "16"}, "n_values must be a list, got '16'"),
+        ({"n_values": [10.7]}, "n_values entry must be an integer, got 10.7"),
+        ({"trials": 2.9}, "trials must be an integer, got 2.9"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"workers": "2"}, "workers must be an integer, got '2'"),
+        ({"solver": {"kind": "exact", "budget": 1e6}}, "solver.budget must be an integer, got 1000000.0"),
+        ({"solver": {"kind": "greedy", "restarts": False}}, "solver.restarts must be an integer, got False"),
+    ],
+    ids=["n_values-str", "n-float", "trials-float", "trials-bool", "seed-float", "workers-str",
+         "budget-float", "restarts-bool"],
+)
+def test_experiment_run_rejects_non_integer_settings(capsys, tmp_path, fields, message):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg, **fields)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", message)
+
+
 def test_experiment_run_rejects_workers_flag_below_1(capsys, tmp_path):
     cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
     _write_config(cfg)

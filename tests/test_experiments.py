@@ -124,6 +124,36 @@ def test_config_json_round_trip(tmp_path):
         ExperimentConfig.from_dict({"n_values": [10]})  # missing fields
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n_values": "16"},  # int() of each character would run n = 1 and n = 6
+        {"n_values": 10},
+        {"n_values": [10.7]},
+        {"n_values": ["10"]},
+        {"n_values": [True]},
+        {"trials": 2.9},
+        {"trials": True},
+        {"trials": "8"},
+        {"master_seed": 1.5},
+        {"workers": 1.0},
+        {"solver": {"kind": "exact", "budget": 1e6}},
+        {"solver": {"kind": "greedy", "restarts": 2.5}},
+    ],
+)
+def test_config_rejects_non_integer_fields(fields):
+    doc = {
+        "n_values": [10],
+        "p_rule": {"kind": "constant", "value": 0.4},
+        "trials": 8,
+        "master_seed": 99,
+        **fields,
+    }
+    field = next(iter(fields))
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict(doc)
+
+
 # --- running -----------------------------------------------------------------
 
 

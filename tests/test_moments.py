@@ -1,7 +1,9 @@
 import hashlib
 import math
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -275,10 +277,10 @@ def test_variance_bound_structure_sparse():
     k = math.floor(solve_k_hat(n, p).root - 0.5)
     vb = variance_ratio_bound(n, p, k)
     assert vb.regime == "sparse"
-    ells = [ell for (_, ell, _) in vb.entries]
+    ells = [ell for (_, ell, _) in vb.rows()]
     assert ells == list(range(2, k))
-    parts = [part for (part, _, _) in vb.entries]
-    assert parts == sorted(parts)  # part1 <= part2 <= part3 <= part4 blocks
+    assert_parts_tile(vb)  # part1 .. part4 as contiguous ranges of ell, in order
+    assert [part for (part, _, _) in vb.parts] == ["part1", "part2", "part3", "part4"]
     assert set(vb.part_log_sums) == {"part1", "part2", "part3", "part4"}
     # partial sums recombine to the grand total
     from indtrees.logreal import log_sum_exp
@@ -295,11 +297,13 @@ def test_variance_bound_structure_dense():
     vb = variance_ratio_bound(n, p, k)
     assert vb.regime == "dense"
     assert set(vb.part_log_sums) <= {"trivial", "product", "tail"}
-    ells = [ell for (_, ell, _) in vb.entries]
+    assert [part for (part, _, _) in vb.parts] == ["trivial", "product", "tail"]
+    assert_parts_tile(vb)
+    ells = [ell for (_, ell, _) in vb.rows()]
     assert ells == list(range(2, k))
 
 
-# SHA-256 of repr(variance_ratio_bound(n, p, k).entries), floats by repr, at
+# SHA-256 of repr(tuple(variance_ratio_bound(n, p, k).rows())), floats by repr, at
 # criterion 7's three cells (1e30 is in the dense regime) and one more dense
 # cell, recorded before the part boundaries were read from partition_points
 PINNED_ENTRIES = {
@@ -317,7 +321,7 @@ PINNED_ENTRIES = {
 )
 def test_variance_bound_entries_pinned(cell, sha):
     vb = variance_ratio_bound(*cell)
-    assert hashlib.sha256(repr(vb.entries).encode()).hexdigest() == sha
+    assert hashlib.sha256(repr(tuple(vb.rows())).encode()).hexdigest() == sha
 
 
 def test_variance_bound_rejects_bad_k():
@@ -330,14 +334,30 @@ def test_variance_bound_rejects_bad_k():
 # must equal the one-ell-at-a-time loop exactly: entries, part sums and total.
 
 
+def assert_parts_tile(vb):
+    """vb.parts runs contiguously from ell = 2 to k, one range per part sum."""
+    bounds = [2] + [hi for (_, _, hi) in vb.parts]
+    assert [(lo, hi) for (_, lo, hi) in vb.parts] == list(zip(bounds, bounds[1:]))
+    assert bounds[-1] == vb.k
+    assert [part for (part, _, _) in vb.parts] == list(vb.part_log_sums)
+
+
 def assert_matches_loop(*args):
     vb = variance_ratio_bound(*args)
-    assert vb == variance_ratio_bound_loop(*args)
-    # Python objects, not numpy scalars: repr, JSON and the pins depend on it
-    assert type(vb.entries) is tuple
-    for entry in vb.entries:
-        assert type(entry) is tuple and len(entry) == 3
-        assert (type(entry[0]), type(entry[1]), type(entry[2])) == (str, int, float)
+    loop = variance_ratio_bound_loop(*args)
+    rows = tuple(vb.rows())
+    assert vb.regime == loop.regime
+    assert rows == loop.entries
+    assert vb.part_log_sums == loop.part_log_sums
+    assert vb.log_total == loop.log_total
+    assert_parts_tile(vb)
+    # one float64 array; rows() gives Python objects, not numpy scalars:
+    # repr, JSON and the pins depend on it
+    assert type(vb.entries) is np.ndarray and vb.entries.dtype == np.float64
+    assert vb.entries.shape == (vb.k - 2,)
+    for row in rows:
+        assert type(row) is tuple and len(row) == 3
+        assert (type(row[0]), type(row[1]), type(row[2])) == (str, int, float)
     assert all(type(v) is float for v in vb.part_log_sums.values())
     assert type(vb.log_total) is float
     return vb
@@ -380,16 +400,37 @@ def test_variance_bound_matches_loop_on_small_cells(cell):
 
 def test_variance_bound_k2_has_no_entries():
     vb = assert_matches_loop(100, 0.01, 2)
-    assert vb.entries == ()
+    assert vb.entries.size == 0 and tuple(vb.rows()) == ()
+    assert all(lo == hi == 2 for (_, lo, hi) in vb.parts)
     assert vb.log_total == -math.inf
     assert set(vb.part_log_sums.values()) == {-math.inf}
+
+
+def test_variance_bound_keeps_one_float_per_ell():
+    # the theory grid's largest cell, where a (part, ell, value) tuple per ell
+    # kept 5.4 MB; 43424 float64 entries are 0.35 MB
+    n = 10**12
+    p = n ** -0.25
+    k = compute_profile(n, p).k
+    assert k == 43426
+    tracemalloc.start()
+    try:
+        vb = variance_ratio_bound(n, p, k)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
+    assert vb.entries.dtype == np.float64 and vb.entries.shape == (k - 2,)
+    assert_parts_tile(vb)
 
 
 def test_variance_bound_matches_loop_with_an_empty_part():
     # w = (ln n)^3 pushes k - w/p below ell*: part 2 is empty, part 3 takes its ells
     vb = assert_matches_loop(10**8, 0.01, 2949, 3.0)
     assert vb.part_sum("part2") == -math.inf
-    assert "part2" not in {part for (part, _, _) in vb.entries}
+    [(lo, hi)] = [(lo, hi) for (part, lo, hi) in vb.parts if part == "part2"]
+    assert lo == hi
+    assert "part2" not in {part for (part, _, _) in vb.rows()}
 
 
 @settings(max_examples=40, deadline=None)
