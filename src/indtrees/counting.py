@@ -6,7 +6,6 @@ are the ground truth against which the analytic bounds in `moments` are checked.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -95,10 +94,10 @@ class ForestCount:
 
 
 def count_forests_enumerated(l: int, r: int) -> int:
-    """phi(l, r) by counting what enumerate_forests yields; oracle path, l <= 8."""
+    """phi(l, r) by counting the rows that _forests grows; oracle path, l <= 8."""
     if not (0 <= r <= max(l - 1, 0)):
         raise ValueError(f"need 0 <= r <= l-1, got l={l}, r={r}")
-    return sum(1 for _ in enumerate_forests(l, r))
+    return sum(len(rows) for rows, _ in _forests(l, r))
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +184,12 @@ def enumerate_forests(l: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
         yield from _rows_as_tuples(pairs, rows)
 
 
+def _size_products(labels: np.ndarray) -> np.ndarray:
+    """Each forest's product of component sizes, from its per-vertex labels."""
+    sizes = (labels[:, :, None] == np.arange(labels.shape[1])).sum(axis=1)  # per row and label
+    return np.prod(np.maximum(sizes, 1), axis=1)
+
+
 def rooted_forest_count_closed_form(n: int, m: int) -> int:
     """C(n,m) * m * n^(n-m-1): rooted forests on [n] with m trees.
 
@@ -202,11 +207,7 @@ def rooted_forest_count_enumerated(l: int, m: int) -> int:
     the component labels that _forest_blocks keeps per vertex."""
     if not (1 <= m <= l):
         raise ValueError(f"need 1 <= m <= l, got l={l}, m={m}")
-    total = 0
-    for _, labels in _forests(l, l - m):
-        sizes = (labels[:, :, None] == np.arange(l)).sum(axis=1)  # per row and label
-        total += int(np.prod(np.maximum(sizes, 1), axis=1).sum())
-    return total
+    return sum(int(_size_products(labels).sum()) for _, labels in _forests(l, l - m))
 
 
 def f_piecewise(k: int, l: int, r: int) -> float:
@@ -246,11 +247,11 @@ class OverlapTable:
 
 def _restriction_masks(k: int, l: int) -> dict[int, int]:
     """Histogram of the edge masks that the trees on {0..k-1} induce on
-    {0..l-1}, bit i for the i-th pair of itertools.combinations(range(l), 2):
-    the enumeration that extensions_match_enumeration checks t(F) against."""
+    {0..l-1}, bit i for the i-th pair of np.triu_indices(l, 1) (combinations
+    order): the enumeration that extensions_match_enumeration checks t(F) against."""
+    us, vs = np.triu_indices(l, 1)
     bit = np.zeros(k * k, dtype=np.int64)  # edge code -> its bit in the shared-set mask
-    for i, (u, v) in enumerate(itertools.combinations(range(l), 2)):
-        bit[u * k + v] = 1 << i
+    bit[us * k + vs] = 1 << np.arange(len(us))
     masks = np.concatenate(
         [np.bitwise_or.reduce(bit[codes], axis=1) for codes in _tree_code_batches(k)]
     )
@@ -308,19 +309,26 @@ def count_trees_extending_forest(
         raise ValueError("input is not a forest")
     if l == 0:
         return cayley(k)
+    return _extension_count(k, l, math.prod(sizes), len(sizes))
+
+
+def _extension_count(k: int, l: int, size_product: int, m: int) -> int:
+    """t(F) for a forest on [l], 1 <= l <= k, of m trees of size product size_product."""
     # k divides k^s for s >= 1; at s = 0, prod c_i = k if F spans and 0^(m-1) = 0 if not
-    return math.prod(sizes) * k ** (k - l) * (k - l) ** (len(sizes) - 1) // k
+    return size_product * k ** (k - l) * (k - l) ** (m - 1) // k
 
 
 def extensions_match_enumeration(k: int, l: int) -> bool:
-    """Whether count_trees_extending_forest equals the enumerated restriction
-    histogram on every forest on [l] (2 <= k <= MAX_TREE_K, l <= min(k, 8)),
-    with no other mask in the histogram: the oracle for the closed forms."""
-    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(l), 2))}
+    """Whether t(F), from each forest's (rows, labels) in _forests, equals the
+    enumerated restriction histogram on every forest on [l] (2 <= k <= MAX_TREE_K,
+    l <= min(k, 8)), with no other mask in it: the oracle for the closed forms."""
+    bit = 1 << np.arange(l * (l - 1) // 2)  # edge index -> its bit, as in _restriction_masks
     closed = {}
     for r in range(l):
-        for forest in enumerate_forests(l, r):
-            closed[sum(map(bit.get, forest))] = count_trees_extending_forest(k, forest, l)
+        rows, labels = map(np.concatenate, zip(*_forests(l, r)))
+        products = _size_products(labels).tolist()
+        counts = {c: _extension_count(k, l, c, l - r) for c in set(products)}
+        closed.update(zip(bit[rows].sum(axis=1).tolist(), map(counts.get, products)))
     return {mask: t for mask, t in closed.items() if t} == _restriction_masks(k, l)
 
 

@@ -41,6 +41,14 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_number(value, field: str) -> float:
+    """value as a float if it is a JSON number (not a bool or string), else a
+    ConfigError naming the field: float() would parse "0.5" and take True as 1."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PRule:
     """Edge probability as a function of n: constant c, power n^-theta, or c/ln n."""
@@ -78,6 +86,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        if not math.isfinite(self.delta):
+            raise ConfigError(f"delta must be finite, got {self.delta}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.n_values:
@@ -114,9 +124,9 @@ class ExperimentConfig:
                 raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
             return ExperimentConfig(
                 n_values=tuple(_json_int(n, "n_values entry") for n in d["n_values"]),
-                p_rule=PRule(rule["kind"], float(rule["value"])),
+                p_rule=PRule(rule["kind"], _json_number(rule["value"], "p_rule.value")),
                 trials=_json_int(d["trials"], "trials"),
-                delta=float(d.get("delta", 0.5)),
+                delta=_json_number(d.get("delta", 0.5), "delta"),
                 solver=SolverSpec(
                     solver.get("kind", "exact"),
                     _json_int(solver.get("budget", DEFAULT_BUDGET), "solver.budget"),
@@ -127,7 +137,7 @@ class ExperimentConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     @staticmethod
@@ -340,28 +350,21 @@ def concentration_report(
 CSV_FIELDS = ("n", "p", "seed_stream", "size", "optimal", "nodes", "millis")
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _export_row(rec: TrialRecord, canonical: bool) -> list:
+    """rec's values in CSV_FIELDS order; canonical mode zeroes the volatile millis."""
+    millis = 0 if canonical else rec.millis
+    return [rec.n, rec.p, rec.stream, rec.size, rec.optimal, rec.nodes, millis]
 
 
 def export_csv(records, path_or_buf, canonical: bool = True) -> None:
-    """RFC-4180 CSV; canonical mode zeroes the volatile millis column so that
-    reruns of the same config are byte-identical."""
+    """RFC-4180 CSV of _export_row, optimal as true/false; canonical reruns give equal bytes."""
     with open_output(path_or_buf, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for rec in records:
-            writer.writerow(
-                [
-                    rec.n,
-                    _format_float(rec.p),
-                    rec.stream,
-                    rec.size,
-                    "true" if rec.optimal else "false",
-                    rec.nodes,
-                    "0" if canonical else _format_float(rec.millis),
-                ]
-            )
+            row = _export_row(rec, canonical)
+            row[4] = "true" if rec.optimal else "false"
+            writer.writerow(row)
 
 
 def import_csv(path) -> list[TrialRecord]:
@@ -384,18 +387,7 @@ def import_csv(path) -> list[TrialRecord]:
 
 def export_json(result: ExperimentResult, path_or_buf, canonical: bool = True) -> None:
     payload = {
-        "records": [
-            {
-                "n": r.n,
-                "p": r.p,
-                "seed_stream": r.stream,
-                "size": r.size,
-                "optimal": r.optimal,
-                "nodes": r.nodes,
-                "millis": 0 if canonical else r.millis,
-            }
-            for r in result.records
-        ],
+        "records": [dict(zip(CSV_FIELDS, _export_row(r, canonical))) for r in result.records],
         "summary": [s.to_dict() for s in result.summaries],
     }
     with open_output(path_or_buf) as fh:

@@ -426,6 +426,10 @@ class _OverlapTerms:
             )
         return out
 
+    def shared(self, ell: np.ndarray) -> np.ndarray:
+        """log C(k, ell) C(n-k, k-ell); log_binom(k, ell) is log_binom(k, k-ell) to the bit."""
+        return self.log_binom(self.k, ell) + self.log_binom(self.n - self.k, self.k - ell)
+
     def part1(self, ell: np.ndarray) -> np.ndarray:
         # ln k + ell (1 + 2 ln k + (1 - ell/2) ln(1-p) - ln n - ln ell - ln p)
         return self.log_k + ell * (
@@ -437,8 +441,7 @@ class _OverlapTerms:
         # C(k,l) C(n-k,k-l) (1-p)^(-C(l,2)) (k-l)^(k-2) (l+1)^(k-l-1) / (C(n,k) k^(k-3))
         k = self.k
         return (
-            self.log_binom(k, ell)
-            + self.log_binom(self.n - k, k - ell)
+            self.shared(ell)
             - _pairs(ell) * self.log1p_p
             + (k - 2) * _each(log, k - ell)
             + (k - ell - 1) * _each(log, ell + 1)
@@ -457,8 +460,7 @@ class _OverlapTerms:
         gap = ell - r_star  # lam / p > 0
         log_ell = _each(log, ell)
         return (
-            self.log_binom(k, ell)
-            + self.log_binom(self.n - k, k - ell)
+            self.shared(ell)
             - self.log_cnk
             + log_ell
             + r_star * (self.log1p_p - self.log_p)
@@ -476,8 +478,7 @@ class _OverlapTerms:
         s = k - ell
         log_s_term = np.where(s == 1, 0.0, (s - 2) * _each(log, s))  # (k-l)^(k-l-2)
         return (
-            self.log_binom(k, ell)
-            + self.log_binom(self.n - k, s)
+            self.shared(ell)
             - self.log_cnk
             - (k - 2) * self.log_k
             - _pairs(ell) * self.log1p_p
@@ -490,8 +491,7 @@ class _OverlapTerms:
 
     def trivial(self, ell: np.ndarray) -> np.ndarray:
         return (
-            self.log_binom(self.k, ell)
-            + self.log_binom(self.n - self.k, self.k - ell)
+            self.shared(ell)
             - self.log_cnk
             - _pairs(ell) * self.log1p_p
             + ell * (self.log1p_p - self.log_p)
@@ -502,8 +502,7 @@ class _OverlapTerms:
         k, p = self.k, self.p
         s = k - ell
         base = (
-            self.log_binom(k, s)
-            + self.log_binom(self.n - k, s)
+            self.shared(ell)
             + s * k * self.log1p_p
             + s * self.log_k
             - log_expected_trees(self.n, p, k).logmag

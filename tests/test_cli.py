@@ -303,6 +303,16 @@ def test_oracle_validate_extension_mismatch_exits_1(capsys, monkeypatch):
     ]
 
 
+def test_oracle_validate_stdout_pinned(capsys):
+    # SHA-256 of `oracle validate --kmax 6`, recorded while t(F) was checked
+    # one forest at a time through count_trees_extending_forest
+    code, out, _ = run_cli(capsys, "oracle", "validate", "--kmax", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "96dc43f008db79b00c5e77b3172172c767951d1703c889c368e65969d594776e"
+    )
+
+
 def test_oracle_range_errors_leave_stdout_empty(capsys):
     for kmax in ("9", "1", "0", "-3"):
         code, out, err = run_cli(capsys, "oracle", "validate", "--kmax", kmax)
@@ -380,6 +390,30 @@ def test_experiment_run_rejects_bad_solver_and_worker_settings(capsys, tmp_path,
          "budget-float", "restarts-bool"],
 )
 def test_experiment_run_rejects_non_integer_settings(capsys, tmp_path, fields, message):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg, **fields)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", message)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"delta": "0.5"}, "delta must be a number, got '0.5'"),
+        ({"p_rule": {"kind": "constant", "value": "0.4"}},
+         "p_rule.value must be a number, got '0.4'"),
+        ({"p_rule": {"kind": "power", "value": True}}, "p_rule.value must be a number, got True"),
+        ({"delta": float("nan")}, "delta must be finite, got nan"),
+        ({"delta": float("inf")}, "delta must be finite, got inf"),
+        ({"p_rule": {"kind": "constant", "value": 0.05}, "delta": float("nan")},
+         "delta must be finite, got nan"),
+    ],
+    ids=["delta-str", "value-str", "value-bool", "delta-nan", "delta-inf", "delta-nan-sparse"],
+)
+def test_experiment_run_rejects_bad_numbers(capsys, tmp_path, fields, message):
     cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
     _write_config(cfg, **fields)
     code, out, err = run_cli(

@@ -294,6 +294,18 @@ def test_extension_counts_match_per_tree_histogram():
             assert counting.extensions_match_enumeration(k, l)
 
 
+def test_oracle_checks_the_public_formula(monkeypatch):
+    # one t(F) formula: shifting it moves both the public count and the oracle
+    forest = ((0, 1),)
+    before = count_trees_extending_forest(4, forest, 3)
+    extension_count = counting._extension_count
+    monkeypatch.setattr(
+        counting, "_extension_count", lambda k, l, c, m: extension_count(k, l, c, m) + 1
+    )
+    assert count_trees_extending_forest(4, forest, 3) == before + 1
+    assert not counting.extensions_match_enumeration(4, 3)
+
+
 def test_extension_count_edge_cases():
     for k in range(1, 7):
         assert count_trees_extending_forest(k, (), 0) == cayley(k)

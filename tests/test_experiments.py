@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from indtrees import experiments
 from indtrees.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -152,6 +153,52 @@ def test_config_rejects_non_integer_fields(fields):
     field = next(iter(fields))
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"delta": "0.5"},  # float() would parse the string
+        {"delta": True},
+        {"delta": None},
+        {"p_rule": {"kind": "constant", "value": "0.4"}},
+        {"p_rule": {"kind": "power", "value": True}},  # float() would run theta = 1
+        {"p_rule": {"kind": "power", "value": [0.3]}},
+    ],
+)
+def test_config_rejects_non_number_fields(fields):
+    doc = {
+        "n_values": [10],
+        "p_rule": {"kind": "constant", "value": 0.4},
+        "trials": 8,
+        "master_seed": 99,
+        **fields,
+    }
+    field = "delta" if "delta" in fields else "p_rule.value"
+    with pytest.raises(ConfigError, match=rf"{field} must be a number"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_accepts_integer_numbers():
+    doc = {"n_values": [10], "p_rule": {"kind": "power", "value": 1}, "trials": 8,
+           "master_seed": 99, "delta": 1}
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.delta == 1.0 and type(cfg.delta) is float
+    assert cfg.p_rule.value == 1.0 and type(cfg.p_rule.value) is float
+    with pytest.raises(ConfigError, match="too large"):  # float() overflows
+        ExperimentConfig.from_dict({**doc, "delta": 10**400})
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [0.05, 0.4])  # n p <= 1 never reaches g_threshold
+def test_non_finite_delta_rejected_before_any_trial(monkeypatch, delta, p):
+    def no_trial(args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_run_trial", no_trial)
+    cfg = small_config(delta=delta, p_rule=PRule("constant", p))
+    with pytest.raises(ConfigError, match=f"delta must be finite, got {delta}"):
+        run_experiment(cfg)
 
 
 # --- running -----------------------------------------------------------------
