@@ -3,9 +3,9 @@ bitset adjacency rows built on first use, and G(n,p) sampling."""
 from __future__ import annotations
 
 import math
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
 from typing import ContextManager, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -16,7 +16,10 @@ MAX_N = 65_536  # bitset width ceiling
 _DRAW_BLOCK = 1 << 20  # gaps per rng.geometric call in the sampler
 _ROW_BLOCK = 1024  # adjacency rows staged per byte buffer
 _LOOP_EDGES = 128  # up to this many edges, a per-edge loop builds rows faster than numpy
-_READ_LINES = 512  # lines read_graph splits at a time: fewer lists than gc's gen-0 trigger (700)
+_READ_BYTES = 1 << 16  # bytes read_graph parses at a time, cut just after a line break
+_LINE_BREAK = re.compile(rb"\r\n?|\n")  # the line ends that text mode translates
+_SPACE = np.zeros(256, dtype=bool)  # the ASCII bytes str.split() splits on
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
 @dataclass(frozen=True)
@@ -337,29 +340,33 @@ def open_output(path_or_buf, **open_kwargs) -> ContextManager[TextIO]:
 
 def read_graph(path) -> Graph:
     """Inverse of write_graph. Blank lines are skipped and repeated edges
-    counted once; the header's m must equal the number of distinct edges."""
-    with open(path, "r", encoding="ascii") as fh:
-        header, _, body = fh.read().partition("\n")
-    header = header.split()
+    counted once; the header's m must equal the number of distinct edges.
+
+    Tokens follow str.split() and int(), and lines end at LF, CRLF or a lone
+    CR, as when the file is read as ASCII text. The body is parsed in blocks
+    of about _READ_BYTES bytes, each cut just after a line break, so the
+    temporaries stay bounded.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        data.decode("ascii")  # raises UnicodeDecodeError naming the first bad byte
+    brk = _LINE_BREAK.search(data)
+    header_end, start = brk.span() if brk else (len(data), len(data))
+    header = data[:header_end].decode("ascii").split()
     if len(header) != 2:
         raise ValueError("malformed header, expected 'n m'")
     n, m = int(header[0]), int(header[1])
     if not 0 <= n <= MAX_N:
         raise ValueError(f"vertex count {n} outside [0, {MAX_N}]")
-    lines = body.split("\n")
-    pairs = []
-    for a in range(0, len(lines), _READ_LINES):  # each line split once
-        tokens = list(map(str.split, lines[a : a + _READ_LINES]))
-        per_line = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-        bad = np.flatnonzero((per_line != 0) & (per_line != 2))
-        if bad.size:
-            line = a + bad[0]
-            raise ValueError(f"line {line + 2}: expected 'u v', got {lines[line]!r}")
-        try:
-            pairs.append(np.array(list(chain.from_iterable(tokens)), dtype=np.int64))  # int() per token
-        except OverflowError:
-            raise ValueError("vertex out of range") from None
-    uv = np.concatenate(pairs).reshape(-1, 2)
+    values = [np.empty(0, dtype=np.int64)]
+    line = 2  # the number of the next block's first line
+    while start < len(data):
+        end = _block_end(data, start)
+        block, lines = _parse_block(np.frombuffer(data, np.uint8, end - start, start), line)
+        values.append(block)
+        start, line = end, line + lines
+    uv = np.concatenate(values).reshape(-1, 2)
     us, vs = uv[:, 0], uv[:, 1]
     bad = np.flatnonzero(~((0 <= us) & (us < vs) & (vs < n)))
     if bad.size:
@@ -369,3 +376,49 @@ def read_graph(path) -> Graph:
     if idx.size != m:
         raise ValueError(f"header claims {m} edges, found {idx.size}")
     return Graph._from_pair_index(n, idx)
+
+
+def _block_end(data: bytes, start: int) -> int:
+    """Just past the last line break in data[start:start + _READ_BYTES], or
+    past the first one after it if it holds none, or len(data)."""
+    cut = start + _READ_BYTES
+    if cut >= len(data):
+        return len(data)
+    last = max(data.rfind(b"\n", start, cut), data.rfind(b"\r", start, cut))
+    brk = _LINE_BREAK.match(data, last) if last >= 0 else _LINE_BREAK.search(data, cut)
+    return brk.end() if brk else len(data)
+
+
+def _parse_block(b: np.ndarray, line: int) -> tuple[np.ndarray, int]:
+    """The int64 values of the tokens in the bytes b, a run of whole lines
+    whose first is numbered line, and the number of line breaks in b. Each
+    line must hold 0 or 2 tokens."""
+    bounds = np.flatnonzero(np.diff(_SPACE[b], prepend=True, append=True))
+    starts, stops = bounds[::2], bounds[1::2]
+    # line ends: every LF and CR except the CR of a CRLF; a block never splits a CRLF
+    ends = np.flatnonzero((b == 10) | (b == 13))
+    ends = ends[(b[ends] == 10) | (b[np.minimum(ends + 1, len(b) - 1)] != 10)]
+    firsts = np.concatenate(([0], ends + 1))  # first byte of each line
+    per_line = np.diff(np.searchsorted(starts, firsts), append=len(starts))
+    bad = np.flatnonzero((per_line != 0) & (per_line != 2))
+    if bad.size:
+        i = bad[0]
+        text = b[firsts[i] : ends[i] if i < len(ends) else len(b)].tobytes().decode("ascii")
+        text = text.removesuffix("\r")  # the CR of a CRLF
+        raise ValueError(f"line {line + i}: expected 'u v', got {text!r}")
+    # Horner's rule over the all-digit tokens of up to 18 bytes, which fit
+    # in int64; every other token goes through int()
+    lens = stops - starts
+    fast = lens <= 18
+    values = np.zeros(len(starts), dtype=np.int64)
+    for j in range(min(18, int(lens.max(initial=0)))):
+        live = lens > j
+        digit = b[np.minimum(starts + j, stops - 1)] - np.uint8(48)
+        fast &= ~live | (digit < 10)
+        values = np.where(live, values * 10 + digit, values)
+    try:
+        for t in np.flatnonzero(~fast).tolist():
+            values[t] = int(b[starts[t] : stops[t]].tobytes().decode("ascii"))
+    except OverflowError:  # past int64
+        raise ValueError("vertex out of range") from None
+    return values, len(ends)

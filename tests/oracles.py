@@ -8,7 +8,9 @@ import numpy as np
 
 from indtrees.counting import OverlapTable, _restriction_masks, enumerate_labeled_trees
 from indtrees.graphs import (
+    MAX_N,
     Graph,
+    _pair_index,
     _sample_pair_index,
     forest_components,
     induced_subgraph,
@@ -349,3 +351,40 @@ def variance_ratio_bound_loop(
     }
     total = log_sum_exp(v for (_, _, v) in entries)
     return LoopBound("sparse" if sparse else "dense", tuple(entries), part_log_sums, total)
+
+
+def read_graph_lines(path) -> Graph:
+    """graphs.read_graph as a line-by-line reader: the file read as ASCII
+    text, each line split by str.split() and each token cast by int(), 512
+    lines at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        header, _, body = fh.read().partition("\n")
+    header = header.split()
+    if len(header) != 2:
+        raise ValueError("malformed header, expected 'n m'")
+    n, m = int(header[0]), int(header[1])
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_N}]")
+    lines = body.split("\n")
+    pairs = []
+    for a in range(0, len(lines), 512):
+        tokens = list(map(str.split, lines[a : a + 512]))
+        per_line = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+        bad = np.flatnonzero((per_line != 0) & (per_line != 2))
+        if bad.size:
+            line = a + bad[0]
+            raise ValueError(f"line {line + 2}: expected 'u v', got {lines[line]!r}")
+        try:
+            pairs.append(np.array(list(itertools.chain.from_iterable(tokens)), dtype=np.int64))
+        except OverflowError:
+            raise ValueError("vertex out of range") from None
+    uv = np.concatenate(pairs).reshape(-1, 2)
+    us, vs = uv[:, 0], uv[:, 1]
+    bad = np.flatnonzero(~((0 <= us) & (us < vs) & (vs < n)))
+    if bad.size:
+        u, v = uv[bad[0]].tolist()
+        raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
+    idx = _pair_index(n, us, vs)
+    if idx.size != m:
+        raise ValueError(f"header claims {m} edges, found {idx.size}")
+    return Graph._from_pair_index(n, idx)

@@ -230,6 +230,50 @@ def test_solve_missing_file_exits_3(capsys, tmp_path):
     assert_one_line_error(err, "indtrees solve:", str(missing))
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"3 1\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+        (b"3 1\n0 1\n\xe9\n", "'ascii' codec can't decode byte 0xe9"),
+        (b"3 2\n0 1\n", "header claims 2 edges, found 1"),
+    ],
+    ids=["malformed_line", "non_ascii", "header_count"],
+)
+def test_solve_bad_graph_file_exits_2(capsys, tmp_path, data, message):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "solve", "--in", str(path))
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "indtrees solve:", message)
+
+
+def test_solve_directory_exits_3(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "solve", "--in", str(tmp_path))
+    assert code == 3 and out == ""
+    assert_one_line_error(err, "indtrees solve:", str(tmp_path))
+
+
+def test_solve_reads_a_pipe(capsys, tmp_path):
+    # sample | solve --in /dev/stdin: the graph file is read from a non-seekable pipe
+    path = tmp_path / "g.txt"
+    run_cli(capsys, "sample", "--n", "14", "--p", "0.4", "--seed", "2", "--out", str(path))
+    code, file_out, _ = run_cli(capsys, "solve", "--in", str(path))
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(indtrees.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "indtrees.cli"]
+    sample = subprocess.Popen(
+        [*cmd, "sample", "--n", "14", "--p", "0.4", "--seed", "2"], stdout=subprocess.PIPE, env=env
+    )
+    solve = subprocess.run(
+        [*cmd, "solve", "--in", "/dev/stdin"], stdin=sample.stdout, capture_output=True,
+        text=True, env=env, timeout=120,
+    )
+    sample.stdout.close()
+    assert sample.wait(timeout=120) == 0
+    assert solve.returncode == 0, solve.stderr
+    assert solve.stdout == file_out
+
+
 def test_sample_bad_p_exits_2(capsys):
     code, out, err = run_cli(capsys, "sample", "--n", "10", "--p", "1.5", "--seed", "1")
     assert code == 2 and out == ""

@@ -2,12 +2,13 @@ import hashlib
 import io
 import itertools
 import math
+import re
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indtrees import graphs
 from indtrees.graphs import (
@@ -25,7 +26,7 @@ from indtrees.graphs import (
     write_graph,
 )
 from indtrees.rng import Seed
-from oracles import adjacency_rows
+from oracles import adjacency_rows, read_graph_lines
 
 
 def small_graphs():
@@ -489,6 +490,130 @@ def test_read_graph_names_the_bad_line_past_the_first_block(tmp_path):
     path.write_text("1501 1500\n" + "\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 1102: expected 'u v', got '1100 1101 7'"):
         read_graph(path)
+
+
+def test_read_graph_names_the_bad_line_past_the_first_byte_block(tmp_path):
+    lines = [f"{i} {i + 1}" for i in range(12000)]
+    lines[9000] = "9000 9001 7"
+    text = "12001 12000\n" + "\n".join(lines) + "\n"
+    assert text.index("9000 9001 7") > graphs._READ_BYTES
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="line 9002: expected 'u v', got '9000 9001 7'"):
+        read_graph(path)
+
+
+def test_read_graph_crlf_split_by_a_block_cut(tmp_path):
+    # pad one line so that the CR of its CRLF is the last byte before the
+    # first cut: counting the LF as a second line end would shift every
+    # later line number by one
+    head = "9001 9000\r\n"
+    body = ""
+    for i in range(9000):
+        line = f"{i} {i + 1}"
+        room = graphs._READ_BYTES - 1 - len(body) - len(line)
+        if 0 <= room < 20:
+            line += " " * room
+        body += line + "\r\n"
+    cut = len(head) + graphs._READ_BYTES
+    data = (head + body).encode()
+    assert data[cut - 1 : cut + 1] == b"\r\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert read_graph(path) == path_graph(9001)
+    bad = data.replace(b"\r\n8000 8001\r\n", b"\r\n8000 8001 1\r\n")
+    assert bad.index(b"8000 8001 1") > cut
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match="line 8002: expected 'u v', got '8000 8001 1'"):
+        read_graph(path)
+
+
+def test_read_graph_body_longer_than_a_block_without_line_breaks(tmp_path):
+    gap = " \t" * graphs._READ_BYTES
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 1\n0{gap}2")
+    assert read_graph(path) == Graph(3, [(0, 2)])
+    path.write_text(f"3 2\n0{gap}2\n1 2\n")
+    assert read_graph(path) == Graph(3, [(0, 2), (1, 2)])
+    path.write_text(f"3 1\n0{gap}2{gap}1")
+    with pytest.raises(ValueError, match="line 2: expected 'u v'"):
+        read_graph(path)
+
+
+@pytest.mark.parametrize(
+    "token, outcome",
+    [
+        ("0" * 18 + "1", None),  # 19 digits: past the Horner loop, read by int()
+        ("999999999999999999", "edge (0,999999999999999999) violates"),  # 18 digits, the longest fast token
+        ("9223372036854775807", "edge (0,9223372036854775807) violates"),
+        ("9223372036854775808", "vertex out of range"),
+        ("-9223372036854775809", "vertex out of range"),
+    ],
+)
+def test_read_graph_long_tokens(tmp_path, token, outcome):
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 1\n0 {token}\n")
+    if outcome is None:
+        assert read_graph(path) == Graph(3, [(0, 1)])
+    else:
+        with pytest.raises(ValueError, match=re.escape(outcome)):
+            read_graph(path)
+
+
+_READ_EOLS = st.sampled_from(["\n", "\r", "\r\n"])
+
+
+@st.composite
+def _read_bodies(draw):
+    """Graph file bodies: raw text over digits, int syntax, spaces and line
+    ends, or lines of 0-3 tokens, most of them small vertices."""
+    if draw(st.booleans()):
+        chars = st.sampled_from([*"0123456789+-_x \t\x0b\x1c\n\r", "\r\n"])
+        return "".join(draw(st.lists(chars, max_size=60)))
+    token = st.one_of(
+        st.integers(0, 9).map(str), st.text(alphabet="0123456789+-_x", min_size=1, max_size=4)
+    )
+    space = st.text(alphabet=" \t\x0b\x1c", min_size=1, max_size=2)
+    lines = draw(st.lists(st.tuples(st.lists(token, max_size=3), space, _READ_EOLS), max_size=8))
+    return "".join(sep.join(tokens) + eol for tokens, sep, eol in lines)
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _int64_tokens(text):
+    try:
+        return all(-(1 << 63) <= int(t) < 1 << 63 for t in text.split())
+    except ValueError:
+        return False
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(0, 10),
+    m=st.one_of(st.none(), st.integers(0, 3)),
+    eol=_READ_EOLS,
+    body=_read_bodies(),
+    block=st.integers(1, 64),
+)
+def test_read_graph_matches_line_reader(tmp_path, monkeypatch, n, m, eol, body, block):
+    monkeypatch.setattr(graphs, "_READ_BYTES", block)
+    path = tmp_path / "g.txt"
+    if m is None:  # the header count the line reader finds, so that more files are accepted
+        path.write_bytes(f"{n} -1{eol}{body}".encode())
+        found = re.fullmatch(r"header claims -1 edges, found (\d+)", _read_outcome(read_graph_lines, path))
+        m = int(found[1]) if found else 0
+    path.write_bytes(f"{n} {m}{eol}{body}".encode())
+    new, old = _read_outcome(read_graph, path), _read_outcome(read_graph_lines, path)
+    assert type(new) is type(old)
+    # with a bad int the readers may name different first errors: the line
+    # reader checks token counts 512 lines at a time, read_graph per block
+    if isinstance(old, Graph) or _int64_tokens(body):
+        assert new == old
 
 
 def test_write_graph_to_stream_matches_file(tmp_path):

@@ -187,6 +187,7 @@ def test_search_pinned_with_budget_and_at_n40():
         (1, 339, "48a09f2957a094033dda22eada79711a38cb36adf8dce01e67b5755a3b5ff2ab"),
         (5, 356, "a518f684b97f154cceb69528b06828d268ad6f0e1c1382ec7217b7211518ad03"),
     ],
+    ids=["restarts=1", "restarts=5"],
 )
 def test_greedy_matches_pinned_records(restarts, size, digest):
     # digest: SHA-256 of hex(witness.mask), recorded as for PINNED_SEARCHES
