@@ -12,10 +12,10 @@ from .counting import (
 from .experiments import ExperimentConfig, concentration_report, run_experiment
 from .graphs import (
     Graph,
-    VertexSet,
     induced_subgraph,
     is_forest,
     is_tree,
+    mask_vertices,
     read_graph,
     sample_gnp,
     write_graph,
@@ -38,13 +38,13 @@ from .solver import (
 
 __all__ = [
     "Graph",
-    "VertexSet",
     "LogReal",
     "Seed",
     "SolveResult",
     "ExperimentConfig",
     "sample_gnp",
     "induced_subgraph",
+    "mask_vertices",
     "is_tree",
     "is_forest",
     "read_graph",

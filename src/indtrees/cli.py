@@ -25,7 +25,7 @@ from .experiments import (
     export_json,
     run_experiment,
 )
-from .graphs import read_graph, sample_gnp, write_graph
+from .graphs import mask_vertices, read_graph, sample_gnp, write_graph
 from .moments import BracketError, compute_profile, solve_k_hat, variance_ratio_bound
 from .rng import Seed
 from .solver import DEFAULT_BUDGET, greedy_tree_lower_bound, max_induced_tree
@@ -47,7 +47,7 @@ def _cmd_solve(args) -> int:
         json.dumps(
             {
                 "size": res.size,
-                "witness": res.witness.vertices(),
+                "witness": mask_vertices(res.witness),
                 "optimal": res.optimal,
                 "nodes": res.nodes_explored,
             }

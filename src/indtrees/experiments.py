@@ -49,6 +49,13 @@ def _json_number(value, field: str) -> float:
     return float(value)
 
 
+def _json_object(value, field: str) -> dict:
+    """value if it is a JSON object, else a ConfigError naming the field."""
+    if type(value) is not dict:
+        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PRule:
     """Edge probability as a function of n: constant c, power n^-theta, or c/ln n."""
@@ -118,8 +125,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         try:
-            rule = d["p_rule"]
-            solver = d.get("solver", {})
+            _json_object(d, "experiment config")
+            rule = _json_object(d["p_rule"], "p_rule")
+            solver = _json_object(d.get("solver", {}), "solver")
             if type(d["n_values"]) is not list:
                 raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
             return ExperimentConfig(

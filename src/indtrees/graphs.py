@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import ContextManager, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -20,42 +19,6 @@ _READ_BYTES = 1 << 16  # bytes read_graph parses at a time, cut just after a lin
 _LINE_BREAK = re.compile(rb"\r\n?|\n")  # the line ends that text mode translates
 _SPACE = np.zeros(256, dtype=bool)  # the ASCII bytes str.split() splits on
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of [n] stored as a bitmask."""
-
-    mask: int
-
-    @staticmethod
-    def of(vertices: Iterable[int]) -> "VertexSet":
-        m = 0
-        for v in vertices:
-            if v < 0:
-                raise ValueError(f"negative vertex {v}")
-            m |= 1 << v
-        return VertexSet(m)
-
-    @staticmethod
-    def full(n: int) -> "VertexSet":
-        return VertexSet((1 << n) - 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
-
-    def __contains__(self, v: int) -> bool:
-        return bool((self.mask >> v) & 1)
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self)
 
 
 class Graph:
@@ -235,7 +198,7 @@ def sample_gnp(n: int, p: float, seed: Seed) -> Graph:
     return Graph._from_pair_index(n, _sample_pair_index(n, p, seed))
 
 
-def induced_subgraph(g: Graph, s: VertexSet | Iterable[int]) -> Graph:
+def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Subgraph induced by s, vertices relabeled in increasing original order."""
     verts = sorted(set(s))
     if verts and (verts[0] < 0 or verts[-1] >= g.n):
@@ -246,6 +209,18 @@ def induced_subgraph(g: Graph, s: VertexSet | Iterable[int]) -> Graph:
     us, vs = pos[us], pos[vs]
     keep = (us >= 0) & (vs >= 0)
     return Graph._from_pair_index(len(verts), _pair_index(len(verts), us[keep], vs[keep]))
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The set bits of mask (bit v stands for vertex v), in increasing order."""
+    if mask < 0:  # infinitely many set bits
+        raise ValueError(f"vertex mask must be >= 0, got {mask}")
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    return vertices
 
 
 def is_connected_set(g: Graph, mask: int) -> bool:

@@ -147,6 +147,27 @@ def _gamma_rounding(n: int, p: float, k: float) -> float:
     return 8 * sys.float_info.epsilon * size
 
 
+def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi], keeping f > 0 at lo and f <= 0 at hi, at most 200 times.
+
+    Returns (mid, mid) at the first midpoint with |f(mid)| <= tol (never, for
+    tol = -inf), or the bracket once its ends are adjacent floats: from there
+    every midpoint rounds to an end and the bracket cannot shrink further.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= tol:
+            return mid, mid
+        if mid in (lo, hi):
+            break
+        if fm > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def solve_k_hat(n: int, p: float) -> KHatResult:
     """Bisection root of gamma on [argmax gamma + 1, k_star].
 
@@ -172,30 +193,14 @@ def solve_k_hat(n: int, p: float) -> KHatResult:
     lo, hi = 1.0 + 1e-9, ks
     if gamma_derivative(n, p, lo) <= 0 or gamma_derivative(n, p, hi) >= 0:
         raise BracketError(f"gamma' does not change sign on (1, k_star) at n={n}, p={p}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gamma_derivative(n, p, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda k: gamma_derivative(n, p, k), lo, hi, -math.inf)
     k_max = 0.5 * (lo + hi)
 
     lo = min(k_max + 1, ks - 1e-12)
     hi = ks
     if gamma(n, p, lo) <= 0:
         raise BracketError(f"gamma({lo:.3f}) <= 0; no positive bracket end at n={n}, p={p}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = gamma(n, p, mid)
-        if abs(gm) <= KHAT_TOL:
-            lo = hi = mid
-            break
-        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink further
-            break
-        if gm > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda k: gamma(n, p, k), lo, hi, KHAT_TOL)
     root = min((lo, hi), key=lambda k: abs(gamma(n, p, k)))
     g_root = gamma(n, p, root)
     if abs(g_root) > max(KHAT_TOL, _gamma_rounding(n, p, root)):
@@ -287,13 +292,11 @@ class MomentProfile:
         }
 
 
-def compute_profile(
-    n: int, p: float, delta: float = 0.5, w_exponent: float = DEFAULT_W_EXPONENT
-) -> MomentProfile:
+def compute_profile(n: int, p: float, delta: float = 0.5) -> MomentProfile:
     kh = solve_k_hat(n, p)
     thr = g_threshold(n, p, delta)
     k = math.floor(kh.root - 1 + delta)
-    pts = partition_points(n, p, k, _w(n, w_exponent))
+    pts = partition_points(n, p, k, _w(n, DEFAULT_W_EXPONENT))
     return MomentProfile(
         n=n,
         p=p,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, induced_subgraph, is_connected_set, is_tree
+from .graphs import Graph, induced_subgraph, is_connected_set, is_tree, mask_vertices
 from .rng import Seed
 
 DEFAULT_BUDGET = 10**8
@@ -17,7 +17,7 @@ DEFAULT_BUDGET = 10**8
 @dataclass(frozen=True)
 class SolveResult:
     size: int
-    witness: VertexSet
+    witness: int  # bitmask: bit v set iff vertex v is in the tree
     nodes_explored: int
     optimal: bool
 
@@ -28,7 +28,7 @@ def max_induced_tree_bruteforce(g: Graph) -> SolveResult:
     if n > 20:
         raise ValueError(f"brute force limited to n <= 20, got {n}")
     if n == 0:
-        return SolveResult(0, VertexSet(0), 0, True)
+        return SolveResult(0, 0, 0, True)
     adj = g.adj
     # edges[S] built incrementally from S minus its lowest bit
     edges = bytearray(1 << n) if n <= 14 else [0] * (1 << n)
@@ -43,7 +43,7 @@ def max_induced_tree_bruteforce(g: Graph) -> SolveResult:
         if e == size - 1 and size > best_size and is_connected_set(g, s):
             best_size = size
             best_mask = s
-    return SolveResult(best_size, VertexSet(best_mask), (1 << n) - 1, True)
+    return SolveResult(best_size, best_mask, (1 << n) - 1, True)
 
 
 def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -69,7 +69,7 @@ def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = g.n
     if n == 0:
-        return SolveResult(0, VertexSet(0), 0, True)
+        return SolveResult(0, 0, 0, True)
     adj = g.adj
 
     best_size = 1
@@ -90,14 +90,14 @@ def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
                 continue
             nodes += 1
             if nodes >= budget:
-                return SolveResult(best_size, VertexSet(best_mask), nodes, False)
+                return SolveResult(best_size, best_mask, nodes, False)
             v = frontier & -frontier
             a = adj[v.bit_length() - 1]
             pool &= ~v
             # LIFO: the include branch is explored before the exclude branch
             stack.append((tree, pool, once, size))
             stack.append((tree | v, pool & ~(once & a), once | a, size + 1))
-    return SolveResult(best_size, VertexSet(best_mask), nodes, True)
+    return SolveResult(best_size, best_mask, nodes, True)
 
 
 def _nth_bit(mask: int, r: int) -> int:
@@ -127,7 +127,7 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     n = g.n
     if n == 0:
-        return SolveResult(0, VertexSet(0), 0, False)
+        return SolveResult(0, 0, 0, False)
     adj = g.adj
     rng = seed.generator()
     best_size = 1
@@ -151,9 +151,9 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
         if size > best_size:
             best_size = size
             best_mask = tree
-    return SolveResult(best_size, VertexSet(best_mask), 0, False)
+    return SolveResult(best_size, best_mask, 0, False)
 
 
 def check_witness(g: Graph, result: SolveResult) -> bool:
-    sub = induced_subgraph(g, result.witness)
+    sub = induced_subgraph(g, mask_vertices(result.witness))
     return sub.n == result.size and is_tree(sub)

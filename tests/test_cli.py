@@ -59,6 +59,26 @@ def test_solve_greedy(capsys, tmp_path):
     assert code == 0 and doc["optimal"] is False and doc["size"] >= 1
 
 
+@pytest.mark.parametrize(
+    "n, argv, stdout",
+    [
+        (40, (), '{"size": 17, "witness": [0, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 18, 23, 25, '
+                 '29, 32, 34], "optimal": true, "nodes": 179231}\n'),
+        (40, ("--greedy", "--restarts", "5", "--seed", "7"),
+         '{"size": 13, "witness": [0, 6, 7, 9, 15, 17, 18, 26, 28, 29, 30, 33, 36], '
+         '"optimal": false, "nodes": 0}\n'),
+        (0, (), '{"size": 0, "witness": [], "optimal": true, "nodes": 0}\n'),
+        (0, ("--greedy",), '{"size": 0, "witness": [], "optimal": false, "nodes": 0}\n'),
+    ],
+    ids=["exact-n40", "greedy-n40", "exact-n0", "greedy-n0"],
+)
+def test_solve_stdout_pinned(capsys, tmp_path, n, argv, stdout):
+    path = tmp_path / "g.txt"
+    run_cli(capsys, "sample", "--n", str(n), "--p", "0.3", "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), *argv)
+    assert (code, out, err) == (0, stdout, "")
+
+
 def test_oracle_overlap_json(capsys):
     code, out, _ = run_cli(capsys, "oracle", "overlap", "--k", "4", "--l", "3")
     assert code == 0
@@ -464,6 +484,39 @@ def test_experiment_run_rejects_bad_numbers(capsys, tmp_path, fields, message):
         capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
     )
     assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", message)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"solver": 5}, "solver must be a JSON object, got 5"),
+        ({"solver": ["exact"]}, "solver must be a JSON object, got ['exact']"),
+        ({"solver": None}, "solver must be a JSON object, got None"),
+        ({"p_rule": "constant"}, "p_rule must be a JSON object, got 'constant'"),
+        ({"p_rule": [0.4]}, "p_rule must be a JSON object, got [0.4]"),
+    ],
+    ids=["solver-int", "solver-list", "solver-null", "p_rule-str", "p_rule-list"],
+)
+def test_experiment_run_rejects_non_object_sections(capsys, tmp_path, fields, message):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg, **fields)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", message)
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"n_values"', "null"])
+def test_experiment_run_rejects_non_object_config(capsys, tmp_path, text):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(text)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    message = f"experiment config must be a JSON object, got {json.loads(text)!r}"
     assert_one_line_error(err, "config error:", message)
 
 

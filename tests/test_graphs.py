@@ -13,13 +13,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indtrees import graphs
 from indtrees.graphs import (
     Graph,
-    VertexSet,
     complete_graph,
     cycle_graph,
     induced_subgraph,
     is_connected,
     is_forest,
     is_tree,
+    mask_vertices,
     path_graph,
     read_graph,
     sample_gnp,
@@ -40,17 +40,17 @@ def small_graphs():
     )
 
 
-# --- VertexSet ---------------------------------------------------------------
+# --- vertex bitmasks --------------------------------------------------------
 
 
-def test_vertexset_basics():
-    s = VertexSet.of([0, 3, 5])
-    assert len(s) == 3
-    assert list(s) == [0, 3, 5]
-    assert 3 in s and 1 not in s
-    assert VertexSet.full(4).vertices() == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        VertexSet.of([-1])
+@given(st.sets(st.integers(0, 300)))
+def test_mask_vertices_lists_set_bits_in_order(vertices):
+    assert mask_vertices(sum(1 << v for v in vertices)) == sorted(vertices)
+
+
+def test_mask_vertices_rejects_negative_mask():
+    with pytest.raises(ValueError, match="vertex mask must be >= 0, got -1"):
+        mask_vertices(-1)
 
 
 # --- Graph construction ------------------------------------------------------
@@ -384,7 +384,7 @@ def test_induced_subgraph_matches_pairwise_scan(g, mask):
     verts = [v for v in range(g.n) if (mask >> v) & 1]
     pairs = [(i, j) for j in range(len(verts)) for i in range(j)
              if g.has_edge(verts[i], verts[j])]
-    assert induced_subgraph(g, VertexSet.of(verts)) == Graph(len(verts), pairs)
+    assert induced_subgraph(g, verts) == Graph(len(verts), pairs)
 
 
 @settings(max_examples=60, deadline=None)

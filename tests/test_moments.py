@@ -161,6 +161,22 @@ def test_k_hat_root_where_gamma_is_coarser_than_tol():
         assert log_expected_trees(n, p, math.ceil(root + 0.5)).logmag < 0
 
 
+@pytest.mark.parametrize(
+    "n, p, root_hex",
+    [
+        (14, 0.45, "0x1.4c60bfcc27496p+3"),
+        (16, 0.45, "0x1.5ca8fc1680f9ep+3"),
+        (1e8, 0.02, "0x1.80542975acd4fp+10"),
+        (10**30, (10**30) ** -0.0584, "0x1.ce68b4db1ae8ep+12"),
+        # gamma coarser than KHAT_TOL: the root bisection ends at adjacent floats
+        (10**46, float(10**46) ** -(THETA_UPPER / 2), "0x1.7beb1c4fca5f9p+16"),
+    ],
+    ids=["14-.45", "16-.45", "1e8-.02", "1e30-theta.0584", "1e46-theta.0584"],
+)
+def test_k_hat_root_bits_pinned(n, p, root_hex):
+    assert solve_k_hat(n, p).root.hex() == root_hex
+
+
 def test_k_hat_unsupported_range_raises():
     with pytest.raises((BracketError, ValueError)):
         solve_k_hat(10, 0.001)  # np << 1: k_star below the bracket floor

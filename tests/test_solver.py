@@ -150,7 +150,7 @@ PINNED_SEARCHES = [
 @pytest.mark.parametrize("n,p,stream,size,nodes,mask", PINNED_SEARCHES)
 def test_search_matches_pinned_records(n, p, stream, size, nodes, mask):
     res = max_induced_tree(uniform_gnp(n, p, Seed(303, stream)))
-    assert (res.size, res.nodes_explored, res.witness.mask, res.optimal) == (
+    assert (res.size, res.nodes_explored, res.witness, res.optimal) == (
         size, nodes, mask, True
     )
 
@@ -173,10 +173,10 @@ def test_greedy_rejects_restarts_below_1(restarts):
 
 def test_search_pinned_with_budget_and_at_n40():
     starved = max_induced_tree(sample_gnp(18, 0.3, Seed(5, 0)), budget=3)
-    assert (starved.size, starved.nodes_explored, starved.witness.mask) == (3, 3, 13)
+    assert (starved.size, starved.nodes_explored, starved.witness) == (3, 3, 13)
     assert not starved.optimal
     res = max_induced_tree(sample_gnp(40, 0.3, Seed(1, 0)))
-    assert (res.size, res.nodes_explored, res.witness.mask, res.optimal) == (
+    assert (res.size, res.nodes_explored, res.witness, res.optimal) == (
         17, 179231, 22054102253, True
     )
 
@@ -194,5 +194,5 @@ def test_greedy_matches_pinned_records(restarts, size, digest):
     g = uniform_gnp(1000, 0.01, Seed(7, 0))
     res = greedy_tree_lower_bound(g, restarts, Seed(7, 1))
     assert res.size == size
-    assert hashlib.sha256(hex(res.witness.mask).encode()).hexdigest() == digest
+    assert hashlib.sha256(hex(res.witness).encode()).hexdigest() == digest
     assert check_witness(g, res)
