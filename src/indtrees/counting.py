@@ -7,7 +7,7 @@ are the ground truth against which the analytic bounds in `moments` are checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -18,7 +18,7 @@ from .logreal import pow_log
 
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
 MAX_OVERLAP_K = 7  # validate_overlap_bounds' float bounds and the enumeration cross-check
-MAX_FOREST_L = 9
+PRODUCT_BOUND_PS = (0.1, 0.3, 0.5)  # the p at which validate_overlap_bounds checks the product bound
 _PRUFER_BATCH = 2048  # rows per numpy step in the tree and forest streams
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
@@ -29,12 +29,6 @@ def cayley(k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     return 1 if k <= 2 else k ** (k - 2)
-
-
-def _rows_as_tuples(table: np.ndarray, rows: np.ndarray) -> Iterator[tuple]:
-    """Each row of indices into the object table, as a tuple of its entries."""
-    items = table[rows].ravel().tolist()
-    return zip(*[iter(items)] * rows.shape[1])
 
 
 def _tree_code_batches(k: int) -> Iterator[np.ndarray]:
@@ -83,7 +77,8 @@ def enumerate_labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
     pairs = np.empty(k * k, dtype=object)  # edge code u*k + v -> (u, v)
     pairs[:] = [(u, v) for u in range(k) for v in range(k)]
     for codes in _tree_code_batches(k):
-        yield from _rows_as_tuples(pairs, codes)
+        items = pairs[codes].ravel().tolist()
+        yield from zip(*[iter(items)] * (k - 1))  # k - 1 edges per tree
 
 
 @dataclass(frozen=True)
@@ -121,9 +116,9 @@ def _forest_weights(l: int, power: int) -> tuple[int, ...]:
 
 
 def count_forests(l: int, r: int) -> ForestCount:
-    """Exact phi(l, r) for l <= 9 (forest-weight table, validated against enumeration)."""
-    if not (1 <= l <= MAX_FOREST_L):
-        raise ValueError(f"l must be in [1, {MAX_FOREST_L}], got {l}")
+    """Exact phi(l, r) for any l >= 1, from the forest-weight table."""
+    if l < 1:
+        raise ValueError(f"l must be in [1, inf), got {l}")
     if not (0 <= r <= l - 1):
         raise ValueError(f"need 0 <= r <= l-1, got l={l}, r={r}")
     return ForestCount(l, r, _forest_weights(l, 0)[l - r])
@@ -168,20 +163,6 @@ def _forests(l: int, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     empty = np.zeros((1, 0), dtype=np.int8)
     labels = np.arange(l, dtype=np.int8)[None, :]
     return _forest_blocks(empty, labels, np.array([[-1]]), r, us, vs)
-
-
-def enumerate_forests(l: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All forests on [l] with r edges (l <= 8), in itertools.combinations order,
-    grown one edge at a time from the empty forest (see _forest_blocks)."""
-    blocks = _forests(l, r)
-    if r == 0:
-        yield ()
-        return
-    us, vs = np.triu_indices(l, 1)
-    pairs = np.empty(len(us), dtype=object)
-    pairs[:] = list(zip(us.tolist(), vs.tolist()))
-    for rows, _ in blocks:
-        yield from _rows_as_tuples(pairs, rows)
 
 
 def _size_products(labels: np.ndarray) -> np.ndarray:
@@ -341,8 +322,8 @@ class BoundRow:
     bound_product: float | None  # k^(k-2) * f, against n_matching; None if f undefined
     bound_forest: float | None  # phi * f^2, against n_matching; None if f undefined
     ok: bool
-    product_bound_checks: tuple[tuple[float, bool, bool], ...] = field(default=())
-    # (p, applicable, ok) for N*( (1-p)/p )^r <= k^(k-2)(k-l)^(k-2)(l+1)^(k-l-1)
+    product_bound_checks: tuple[tuple[float, bool, bool], ...]
+    # (p, applicable, ok) per p in PRODUCT_BOUND_PS: N((1-p)/p)^r <= k^(k-2)(k-l)^(k-2)(l+1)^(k-l-1)
 
 
 @dataclass(frozen=True)
@@ -356,9 +337,7 @@ class BoundReport:
         return all(row.ok for row in self.rows)
 
 
-def validate_overlap_bounds(
-    k: int, l: int, ps: tuple[float, ...] = (0.1, 0.3, 0.5)
-) -> BoundReport:
+def validate_overlap_bounds(k: int, l: int) -> BoundReport:
     """Check every counting bound the variance proof invokes against exact counts.
 
     The trivial square bound applies to all pairs; the f-based bounds apply to
@@ -370,6 +349,7 @@ def validate_overlap_bounds(
     if not (2 <= l <= k <= MAX_OVERLAP_K):
         raise ValueError(f"need 2 <= l <= k <= {MAX_OVERLAP_K}, got k={k}, l={l}")
     table = count_overlap_pairs(k, l)
+    phis = _forest_weights(l, 0)  # phi(l, r) at index l - r
     tk = cayley(k)
     rows = []
     for r in range(l):
@@ -382,12 +362,11 @@ def validate_overlap_bounds(
         ok = n_tot <= tk * tk
         b_prod = b_forest = None
         if f is not None:
-            phi = count_forests(l, r).value
             b_prod = tk * f
-            b_forest = phi * f * f
+            b_forest = phis[l - r] * f * f
             ok = ok and n_match <= b_prod * (1 + 1e-12) and n_match <= b_forest * (1 + 1e-12)
         p_checks = []
-        for p in ps:
+        for p in PRODUCT_BOUND_PS:
             applicable = l <= k - 2 * (1 - p) / p
             p_ok = True
             if applicable:

@@ -46,13 +46,20 @@ def _json_number(value, field: str) -> float:
     ConfigError naming the field: float() would parse "0.5" and take True as 1."""
     if type(value) not in (int, float):
         raise ConfigError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{field} is too large for a float") from None
 
 
-def _json_object(value, field: str) -> dict:
-    """value if it is a JSON object, else a ConfigError naming the field."""
+def _json_object(value, field: str, required: tuple[str, ...] = ()) -> dict:
+    """value if it is a JSON object holding every required key, else a
+    ConfigError naming the field, or the first key missing from it."""
     if type(value) is not dict:
         raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{key} is missing from {field}")
     return value
 
 
@@ -124,29 +131,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        try:
-            _json_object(d, "experiment config")
-            rule = _json_object(d["p_rule"], "p_rule")
-            solver = _json_object(d.get("solver", {}), "solver")
-            if type(d["n_values"]) is not list:
-                raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
-            return ExperimentConfig(
-                n_values=tuple(_json_int(n, "n_values entry") for n in d["n_values"]),
-                p_rule=PRule(rule["kind"], _json_number(rule["value"], "p_rule.value")),
-                trials=_json_int(d["trials"], "trials"),
-                delta=_json_number(d.get("delta", 0.5), "delta"),
-                solver=SolverSpec(
-                    solver.get("kind", "exact"),
-                    _json_int(solver.get("budget", DEFAULT_BUDGET), "solver.budget"),
-                    _json_int(solver.get("restarts", 100), "solver.restarts"),
-                ),
-                master_seed=_json_int(d["master_seed"], "master_seed"),
-                workers=_json_int(d.get("workers", 1), "workers"),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+        _json_object(d, "experiment config", ("n_values", "p_rule", "trials", "master_seed"))
+        rule = _json_object(d["p_rule"], "p_rule", ("kind", "value"))
+        solver = _json_object(d.get("solver", {}), "solver")
+        if type(d["n_values"]) is not list:
+            raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
+        return ExperimentConfig(
+            n_values=tuple(_json_int(n, "n_values entry") for n in d["n_values"]),
+            p_rule=PRule(rule["kind"], _json_number(rule["value"], "p_rule.value")),
+            trials=_json_int(d["trials"], "trials"),
+            delta=_json_number(d.get("delta", 0.5), "delta"),
+            solver=SolverSpec(
+                solver.get("kind", "exact"),
+                _json_int(solver.get("budget", DEFAULT_BUDGET), "solver.budget"),
+                _json_int(solver.get("restarts", 100), "solver.restarts"),
+            ),
+            master_seed=_json_int(d["master_seed"], "master_seed"),
+            workers=_json_int(d.get("workers", 1), "workers"),
+        )
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":

@@ -30,8 +30,8 @@ def max_induced_tree_bruteforce(g: Graph) -> SolveResult:
     if n == 0:
         return SolveResult(0, 0, 0, True)
     adj = g.adj
-    # edges[S] built incrementally from S minus its lowest bit
-    edges = bytearray(1 << n) if n <= 14 else [0] * (1 << n)
+    # edges[S] built from S minus its lowest bit; <= C(20, 2) = 190, so a byte holds it
+    edges = bytearray(1 << n)
     best_size = 1
     best_mask = 1
     for s in range(1, 1 << n):

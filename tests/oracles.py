@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from indtrees.counting import OverlapTable, _restriction_masks, enumerate_labeled_trees
+from indtrees.counting import OverlapTable, _forests, _restriction_masks, enumerate_labeled_trees
 from indtrees.graphs import (
     MAX_N,
     Graph,
@@ -139,6 +139,21 @@ def forests_by_filter(l: int, r: int):
     for sub in itertools.combinations(all_edges, r):
         if forest_components(l, sub) is not None:
             yield sub
+
+
+def enumerate_forests(l: int, r: int):
+    """All forests on [l] with r edges (l <= 8), in itertools.combinations order,
+    as edge tuples decoded from the row blocks of indtrees.counting._forests."""
+    blocks = _forests(l, r)
+    if r == 0:
+        yield ()
+        return
+    us, vs = np.triu_indices(l, 1)
+    pairs = np.empty(len(us), dtype=object)
+    pairs[:] = list(zip(us.tolist(), vs.tolist()))
+    for rows, _ in blocks:
+        items = pairs[rows].ravel().tolist()
+        yield from zip(*[iter(items)] * r)
 
 
 def forest_masks(l: int):

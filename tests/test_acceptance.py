@@ -80,7 +80,7 @@ def test_criterion_3_bound_dominance():
     violations = 0
     for k in range(2, 7):
         for l in range(2, k + 1):
-            report = validate_overlap_bounds(k, l, ps=(0.1, 0.3, 0.5))
+            report = validate_overlap_bounds(k, l)
             violations += sum(1 for row in report.rows if not row.ok)
     _report(3, "bound dominance on the grid", violations == 0, f"{violations} violations")
 

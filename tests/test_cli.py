@@ -136,6 +136,15 @@ def test_oracle_forests(capsys):
     assert [row["phi"] for row in doc["rows"]] == [1, 6, 15, 16]
 
 
+def test_oracle_forests_past_enumeration(capsys):
+    # the table has no size limit: every graph on [12] with no cycle
+    code, out, err = run_cli(capsys, "oracle", "forests", "--l", "12")
+    doc = json.loads(out.strip().splitlines()[-1])
+    assert code == 0 and err == ""
+    assert sum(row["phi"] for row in doc["rows"]) == 123373203208
+    assert doc["rows"][-1] == {"l": 12, "r": 11, "phi": 12**10}
+
+
 def test_oracle_validate(capsys):
     code, out, _ = run_cli(capsys, "oracle", "validate", "--kmax", "4")
     assert code == 0
@@ -382,7 +391,7 @@ def test_oracle_range_errors_leave_stdout_empty(capsys):
         code, out, err = run_cli(capsys, "oracle", "validate", "--kmax", kmax)
         assert code == 2 and out == ""
         assert_one_line_error(err, "indtrees oracle:", "kmax")
-    for l in ("12", "0", "-1"):
+    for l in ("0", "-1"):
         code, out, err = run_cli(capsys, "oracle", "forests", "--l", l)
         assert code == 2 and out == ""
         assert_one_line_error(err, "indtrees oracle:", "l must be in")
@@ -501,6 +510,30 @@ def test_experiment_run_rejects_bad_numbers(capsys, tmp_path, fields, message):
 def test_experiment_run_rejects_non_object_sections(capsys, tmp_path, fields, message):
     cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
     _write_config(cfg, **fields)
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", message)
+
+
+@pytest.mark.parametrize(
+    "section, key, message",
+    [
+        (None, "n_values", "n_values is missing from experiment config"),
+        (None, "p_rule", "p_rule is missing from experiment config"),
+        (None, "trials", "trials is missing from experiment config"),
+        (None, "master_seed", "master_seed is missing from experiment config"),
+        ("p_rule", "kind", "kind is missing from p_rule"),
+        ("p_rule", "value", "value is missing from p_rule"),
+    ],
+)
+def test_experiment_run_names_missing_fields(capsys, tmp_path, section, key, message):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg)
+    doc = json.loads(cfg.read_text())
+    del (doc[section] if section else doc)[key]
+    cfg.write_text(json.dumps(doc))
     code, out, err = run_cli(
         capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
     )

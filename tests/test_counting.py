@@ -12,7 +12,6 @@ from indtrees.counting import (
     count_forests_enumerated,
     count_overlap_pairs,
     count_trees_extending_forest,
-    enumerate_forests,
     enumerate_labeled_trees,
     f_piecewise,
     rooted_forest_count_closed_form,
@@ -22,6 +21,7 @@ from indtrees.counting import (
 from indtrees.graphs import Graph, is_tree
 from oracles import (
     count_overlap_pairs_pairwise,
+    enumerate_forests,
     forest_masks,
     forests_by_filter,
     prufer_trees,
@@ -111,6 +111,26 @@ def test_forest_known_row():
 def test_forest_top_count_is_cayley():
     for l in range(1, 8):
         assert count_forests(l, l - 1).value == cayley(l)
+
+
+@pytest.mark.parametrize(
+    "l, total", [(10, 205608536), (11, 4767440679), (12, 123373203208)]
+)
+def test_forest_counts_past_enumeration(l, total):
+    # labeled forests on l vertices (OEIS A001858), past the l <= 8 enumerator
+    assert sum(count_forests(l, r).value for r in range(l)) == total
+    assert count_forests(l, l - 1).value == cayley(l)
+
+
+def test_forest_top_count_is_cayley_at_l150():
+    assert count_forests(150, 149).value == cayley(150)
+
+
+@pytest.mark.parametrize("l, r", [(0, 0), (-1, 0), (5, 5), (5, -1)])
+def test_count_forests_rejects_bad_arguments(l, r):
+    message = rf"l must be in \[1, inf\), got {l}" if l < 1 else "need 0 <= r <= l-1"
+    with pytest.raises(ValueError, match=message):
+        count_forests(l, r)
 
 
 def test_enumerate_forests_consistent():

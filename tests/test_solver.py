@@ -30,6 +30,13 @@ def test_trivial_instances_bruteforce():
     assert max_induced_tree_bruteforce(star(7)).size == 8
 
 
+def test_bruteforce_counts_every_edge_of_k20():
+    # the full vertex set of K20 holds C(20, 2) = 190 edges, the most one
+    # byte of the subset edge-count table must hold
+    res = max_induced_tree_bruteforce(complete_graph(20))
+    assert (res.size, res.witness, res.nodes_explored) == (2, 0b11, (1 << 20) - 1)
+
+
 def test_trivial_instances_branch_and_bound():
     assert max_induced_tree(complete_graph(4)).size == 2
     assert max_induced_tree(path_graph(5)).size == 5
@@ -147,7 +154,11 @@ PINNED_SEARCHES = [
 ]
 
 
-@pytest.mark.parametrize("n,p,stream,size,nodes,mask", PINNED_SEARCHES)
+@pytest.mark.parametrize(
+    "n,p,stream,size,nodes,mask",
+    PINNED_SEARCHES,
+    ids=[f"n={n}-p={p}-stream={stream}" for n, p, stream, *_ in PINNED_SEARCHES],
+)
 def test_search_matches_pinned_records(n, p, stream, size, nodes, mask):
     res = max_induced_tree(uniform_gnp(n, p, Seed(303, stream)))
     assert (res.size, res.nodes_explored, res.witness, res.optimal) == (
@@ -190,7 +201,7 @@ def test_search_pinned_with_budget_and_at_n40():
     ids=["restarts=1", "restarts=5"],
 )
 def test_greedy_matches_pinned_records(restarts, size, digest):
-    # digest: SHA-256 of hex(witness.mask), recorded as for PINNED_SEARCHES
+    # digest: SHA-256 of hex(witness), recorded as for PINNED_SEARCHES
     g = uniform_gnp(1000, 0.01, Seed(7, 0))
     res = greedy_tree_lower_bound(g, restarts, Seed(7, 1))
     assert res.size == size
