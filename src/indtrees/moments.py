@@ -515,16 +515,43 @@ class _OverlapTerms:
         return base + np.array(best)
 
     def _f1_max(self, ell: int, log_ps: float) -> float:
-        """max over 0 <= r < ell of f0(k, r) + (k - r) ln(ps / (1 - p))."""
+        """max over 0 <= r < ell of f1(r) = f0(k, r) + (k - r) ln(ps / (1 - p)).
+
+        A numpy screen evaluates f1 at every r: the low and middle branches of
+        f0 exactly as _f1 does, the top branch with np.log. np.log differs from
+        math.log by a few ulps, so each screened value is within about 1e-15
+        of S(r) = f0(r) + (k - r) |ln(ps / (1 - p))| of f1(r), far inside
+        delta / 2 with delta = 1e-9 (max f0 + k |ln(ps / (1 - p))|) >= 1e-9
+        max_r S(r). Let M be the screen's maximum, at r_M. The argmax r* of f1
+        screens above f1(r*) - delta / 2 >= f1(r_M) - delta / 2 >= M - delta,
+        so it is among the candidates, the r that screen at or above M - delta,
+        and the largest _f1 over the candidates is the full scan's maximum, to
+        the bit. A flat row only makes more candidates. r is a float array:
+        its values are exact integers.
+        """
         k = self.k
-        r = np.arange(ell)
+        r = np.arange(float(ell))
         mid = math.ceil(ell / 2)  # first r >= ell / 2
         top = math.ceil(ell * (1 - 1 / e))  # first r >= ell (1 - 1/e)
         f0 = np.empty(ell)
         f0[:mid] = r[:mid] * log(2)
         f0[mid:top] = k * log(4 / 3) + r[mid:top] * log(9 / 8)
-        f0[top:] = (k - r[top:]) * _each(log, ell / (ell - r[top:]))
-        return float(np.max(f0 + (k - r) * log_ps))
+        k_r = k - r
+        f0[top:] = k_r[top:] * np.log(ell / (ell - r[top:]))
+        screen = f0 + k_r * log_ps
+        delta = 1e-9 * (f0.max() + k * abs(log_ps))
+        near = np.flatnonzero(screen >= screen.max() - delta).tolist()
+        return max(self._f1(ell, r, log_ps, mid, top) for r in near)
+
+    def _f1(self, ell: int, r: int, log_ps: float, mid: int, top: int) -> float:
+        k = self.k
+        if r >= top:
+            f0 = (k - r) * log(ell / (ell - r))
+        elif r >= mid:
+            f0 = k * log(4 / 3) + r * log(9 / 8)
+        else:
+            f0 = r * log(2)
+        return f0 + (k - r) * log_ps
 
 
 def _part_ranges(p: float, k: int, sparse: bool, pts: PartitionPoints):

@@ -16,7 +16,6 @@ from indtrees.graphs import (
     induced_subgraph,
     is_tree,
 )
-from indtrees.logreal import log_sum_exp
 from indtrees.moments import (
     DEFAULT_W_EXPONENT,
     _check_p,
@@ -212,6 +211,32 @@ def count_overlap_pairs_pairwise(k: int, l: int) -> OverlapTable:
 # --- variance-ratio bound, one ell at a time ---------------------------------
 
 
+def log_sum_exp_one_sum(logs) -> float:
+    """ln(sum(e**x for x in logs)) as one plain sum() of math.exp(x - m) over
+    every x, in order, with m the maximum: the bits logreal.log_sum_exp must
+    reproduce. -inf on an empty input, m for a maximum m = ±inf."""
+    x = np.fromiter(logs, dtype=float)
+    if x.size == 0:
+        return -math.inf
+    m = float(x.max())
+    if math.isinf(m):
+        return m
+    return m + math.log(sum(math.exp(v - m) for v in x.tolist()))
+
+
+def f1_max_scan(k: int, ell: int, log_ps: float) -> float:
+    """max over 0 <= r < ell of f0(k, r) + (k - r) log_ps, every r evaluated
+    with math.log: the full scan that _OverlapTerms._f1_max must reproduce."""
+    r = np.arange(ell)
+    mid = math.ceil(ell / 2)  # first r >= ell / 2
+    top = math.ceil(ell * (1 - 1 / e))  # first r >= ell (1 - 1/e)
+    f0 = np.empty(ell)
+    f0[:mid] = r[:mid] * log(2)
+    f0[mid:top] = k * log(4 / 3) + r[mid:top] * log(9 / 8)
+    f0[top:] = (k - r[top:]) * np.array([log(x) for x in (ell / (ell - r[top:])).tolist()])
+    return float(np.max(f0 + (k - r) * log_ps))
+
+
 def _sparse_part1_log(n: int, p: float, k: int, ell: int) -> float:
     # ln k + ell (1 + 2 ln k + (1 - ell/2) ln(1-p) - ln n - ln ell - ln p)
     return log(k) + ell * (
@@ -361,10 +386,10 @@ def variance_ratio_bound_loop(
         part_names = ("trivial", "product", "tail")
 
     part_log_sums = {
-        name: log_sum_exp(v for (pn, _, v) in entries if pn == name)
+        name: log_sum_exp_one_sum(v for (pn, _, v) in entries if pn == name)
         for name in part_names
     }
-    total = log_sum_exp(v for (_, _, v) in entries)
+    total = log_sum_exp_one_sum(v for (_, _, v) in entries)
     return LoopBound("sparse" if sparse else "dense", tuple(entries), part_log_sums, total)
 
 

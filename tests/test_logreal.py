@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from indtrees.logreal import LogReal, log_sum_exp, pow_log
+from indtrees.logreal import _BLOCK, LogReal, log_sum_exp, pow_log
+from oracles import log_sum_exp_one_sum
 
 finite = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -72,6 +74,44 @@ def test_log_sum_exp_is_one_sum_in_order(size):
     assert log_sum_exp(np.array(xs)) == want
     assert log_sum_exp(iter(xs)) == want
     assert type(log_sum_exp(np.array(xs))) is float
+
+
+# offsets x - m from the maximum m: math.exp gives a normal float, a
+# subnormal (at -744 and -745.1) or exactly 0.0 (from -745.2 on)
+EDGE_OFFSETS = [-700.0, -744.0, -745.1, -745.2, -746.0, -1e4, -math.inf]
+
+
+@pytest.mark.parametrize("where", ["first", "last", "random"])
+@pytest.mark.parametrize("size", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 5000])
+def test_log_sum_exp_matches_one_sum_oracle(size, where):
+    # the skipped underflowed terms must not change a bit of the plain sum,
+    # also when the maximum comes last and subnormal terms sum up before it
+    rng = np.random.default_rng(size)
+    m = 3.7  # x - m is rounded, as in a variance bound
+    offsets = np.where(
+        rng.random(size) < 0.5, rng.choice(EDGE_OFFSETS, size), -40 * rng.random(size)
+    )
+    edges = [i for i in (_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK) if i < size]
+    offsets[edges] = rng.choice(EDGE_OFFSETS, len(edges))
+    top = {"first": 0, "last": size - 1, "random": int(rng.integers(size))}[where]
+    offsets[top] = 0.0
+    xs = (m + offsets).tolist()
+    want = log_sum_exp_one_sum(xs).hex()
+    assert log_sum_exp(xs).hex() == want
+    assert log_sum_exp(np.array(xs)).hex() == want
+    assert log_sum_exp(iter(xs)).hex() == want
+
+
+def test_log_sum_exp_infinite_and_nan_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RuntimeWarning
+        assert log_sum_exp([math.inf, 1.0]) == math.inf
+        assert log_sum_exp([math.inf]) == math.inf
+        assert log_sum_exp(np.array([1.0, math.inf, -math.inf])) == math.inf
+        assert math.isnan(log_sum_exp([1.0, math.nan]))
+        assert math.isnan(log_sum_exp([math.inf, math.nan]))
+        assert math.isnan(log_sum_exp(np.array([math.nan, -math.inf])))
+        assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
 
 
 def test_pow_conventions():

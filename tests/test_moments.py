@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from indtrees.experiments import THETA_UPPER
 from indtrees.moments import (
     BracketError,
+    _OverlapTerms,
     compute_profile,
     g_threshold,
     gamma,
@@ -24,7 +25,7 @@ from indtrees.moments import (
     solve_k_hat,
     variance_ratio_bound,
 )
-from oracles import variance_ratio_bound_loop
+from oracles import f1_max_scan, variance_ratio_bound_loop
 
 mp.mp.dps = 60
 
@@ -447,6 +448,60 @@ def test_variance_bound_matches_loop_with_an_empty_part():
     [(lo, hi)] = [(lo, hi) for (part, lo, hi) in vb.parts if part == "part2"]
     assert lo == hi
     assert "part2" not in {part for (part, _, _) in vb.rows()}
+
+
+# --- the dense tail's screened maximum against the full scan --------------------
+
+DENSE_TAIL_CELLS = [(n, p) for n, p in THEORY_GRID if p >= 1 / (2 * math.log(n))] + [
+    (10**20, 0.012),
+    (10**30, 0.01),
+]
+
+
+@pytest.mark.parametrize(
+    "n, p", DENSE_TAIL_CELLS, ids=[f"{n:.0e}-{p:.4g}" for n, p in DENSE_TAIL_CELLS]
+)
+def test_f1_max_matches_full_scan_on_tail_rows(n, p, monkeypatch):
+    k = compute_profile(n, p).k
+    vb = variance_ratio_bound(n, p, k)
+    [(lo, hi)] = [(lo, hi) for (part, lo, hi) in vb.parts if part == "tail"]
+    assert hi > lo
+    terms = _OverlapTerms(n, p, k)
+    # ln(ps / (1 - p)) as tail() forms it
+    rows = [(ell, terms.log_p - terms.log1p_p + math.log(k - ell)) for ell in range(lo, hi)]
+    want = [f1_max_scan(k, *row).hex() for row in rows]
+    assert [terms._f1_max(*row).hex() for row in rows] == want
+    # the screen's margin also covers an np.log a million times coarser than
+    # its real few ulps: off by 2e-10 relative, alternately up and down
+    true_log = np.log
+    monkeypatch.setattr(
+        np, "log", lambda x: true_log(x) * (1 + 2e-10 * (-1.0) ** np.arange(x.size))
+    )
+    assert [terms._f1_max(*row).hex() for row in rows] == want
+
+
+def _within_ulps(x: float, ulps: int) -> list[float]:
+    out, lo, hi = [x], x, x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# ln(ps / (1 - p)) at which the low (ln 2) or the middle (ln 9/8) branch of
+# f1 is flat in r, so that its values differ only by rounding; at ln 2 and
+# (k, ell) = (2448, 2447) the middle branch starts at the same value, r = k/2,
+# and 1225 r are candidates
+FLAT_LOG_PS = _within_ulps(math.log(2), 4) + _within_ulps(math.log(9 / 8), 4)
+
+
+@pytest.mark.parametrize(
+    "k, ell", [(40, 3), (200, 150), (2448, 2351), (2448, 2447), (13031, 12900)]
+)
+def test_f1_max_matches_full_scan_on_flat_rows(k, ell):
+    terms = _OverlapTerms(10**12, 0.02, k)  # _f1_max reads only k
+    for log_ps in FLAT_LOG_PS:
+        assert terms._f1_max(ell, log_ps).hex() == f1_max_scan(k, ell, log_ps).hex()
 
 
 @settings(max_examples=40, deadline=None)
