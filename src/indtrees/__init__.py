@@ -9,7 +9,7 @@ from .counting import (
     f_piecewise,
     validate_overlap_bounds,
 )
-from .experiments import ExperimentConfig, concentration_report, run_experiment
+from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     Graph,
     induced_subgraph,
@@ -64,5 +64,4 @@ __all__ = [
     "compute_profile",
     "variance_ratio_bound",
     "run_experiment",
-    "concentration_report",
 ]

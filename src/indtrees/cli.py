@@ -26,9 +26,16 @@ from .experiments import (
     run_experiment,
 )
 from .graphs import mask_vertices, read_graph, sample_gnp, write_graph
-from .moments import BracketError, compute_profile, solve_k_hat, variance_ratio_bound
+from .moments import (
+    DEFAULT_DELTA,
+    DEFAULT_W_EXPONENT,
+    BracketError,
+    compute_profile,
+    solve_k_hat,
+    variance_ratio_bound,
+)
 from .rng import Seed
-from .solver import DEFAULT_BUDGET, greedy_tree_lower_bound, max_induced_tree
+from .solver import DEFAULT_BUDGET, DEFAULT_RESTARTS, greedy_tree_lower_bound, max_induced_tree
 
 
 def _cmd_sample(args) -> int:
@@ -111,12 +118,11 @@ def _cmd_oracle_validate(args) -> int:
     for k in range(2, args.kmax + 1):
         for l in range(2, k + 1):
             report = validate_overlap_bounds(k, l)
-            rows = _bound_rows_json(report)
-            bounds_ok = all(row["ok"] for row in rows)
+            bounds_ok = report.all_ok
             partition_ok = sum(row.n_total for row in report.rows) == cayley(k) ** 2
             extensions_ok = extensions_match_enumeration(k, l)
             all_ok = all_ok and bounds_ok and partition_ok and extensions_ok
-            payload.append({"k": k, "l": l, "rows": rows})
+            payload.append({"k": k, "l": l, "rows": _bound_rows_json(report)})
             print(
                 f"k={k} l={l}: {'ok' if bounds_ok else 'VIOLATION'}"
                 f"{'' if partition_ok else ', PARTITION MISMATCH'}"
@@ -146,7 +152,7 @@ def _cmd_moments_profile(args) -> int:
 def _cmd_moments_varbound(args) -> int:
     k = args.k
     if k is None:
-        k = math.floor(solve_k_hat(args.n, args.p).root - 0.5)
+        k = math.floor(solve_k_hat(args.n, args.p) - 0.5)
     vb = variance_ratio_bound(args.n, args.p, k, args.w_exponent)
     print("part,ell,log_summand")
     for part, ell, v in vb.rows():
@@ -199,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--greedy", action="store_true")
-    sp.add_argument("--restarts", type=int, default=100)
+    sp.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_solve)
 
@@ -223,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = msub.add_parser("profile", help="k*, k_hat, threshold, partition points")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.5)
+    sp.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     sp.set_defaults(func=_cmd_moments_profile)
     sp = msub.add_parser("varbound", help="variance-ratio partition bounds")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--w-exponent", type=float, default=0.25)
+    sp.add_argument("--w-exponent", type=float, default=DEFAULT_W_EXPONENT)
     sp.add_argument(
         "--k", type=int, default=None, help="tree size; default floor(k_hat - 0.5)"
     )

@@ -16,10 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import open_output, sample_gnp
-from .moments import BracketError, g_threshold, log_expected_trees, solve_k_hat
+from .moments import DEFAULT_DELTA, BracketError, g_threshold, log_expected_trees, solve_k_hat
 from .rng import Seed
 from .solver import (
     DEFAULT_BUDGET,
+    DEFAULT_RESTARTS,
     SolveResult,
     greedy_tree_lower_bound,
     max_induced_tree,
@@ -86,7 +87,7 @@ class PRule:
 class SolverSpec:
     kind: str  # "exact" | "greedy"
     budget: int = DEFAULT_BUDGET
-    restarts: int = 100
+    restarts: int = DEFAULT_RESTARTS
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,11 @@ class ExperimentConfig:
             n_values=tuple(_json_int(n, "n_values entry") for n in d["n_values"]),
             p_rule=PRule(rule["kind"], _json_number(rule["value"], "p_rule.value")),
             trials=_json_int(d["trials"], "trials"),
-            delta=_json_number(d.get("delta", 0.5), "delta"),
+            delta=_json_number(d.get("delta", DEFAULT_DELTA), "delta"),
             solver=SolverSpec(
                 solver.get("kind", "exact"),
                 _json_int(solver.get("budget", DEFAULT_BUDGET), "solver.budget"),
-                _json_int(solver.get("restarts", 100), "solver.restarts"),
+                _json_int(solver.get("restarts", DEFAULT_RESTARTS), "solver.restarts"),
             ),
             master_seed=_json_int(d["master_seed"], "master_seed"),
             workers=_json_int(d.get("workers", 1), "workers"),
@@ -257,11 +258,10 @@ class BatchSummary:
                 f"  best consecutive pair {self.best_pair} mass {self.best_pair_mass:.4f}"
             )
         if self.window is not None:
+            # to_dict keeps window_mass 0.0 for a batch without optimal trials
+            mass = f"{self.window_mass:.4f}" if total else "undefined (no optimal trials)"
             tie = " (near tie)" if self.near_tie else ""
-            lines.append(
-                f"  g(n) window [{self.window[0]}, {self.window[1]}] "
-                f"mass {self.window_mass:.4f}{tie}"
-            )
+            lines.append(f"  g(n) window [{self.window[0]}, {self.window[1]}] mass {mass}{tie}")
         if self.k_hat is not None:
             lines.append(f"  k_hat = {self.k_hat:.3f}")
         tail = self.markov_tail
@@ -272,7 +272,6 @@ class BatchSummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     records: tuple[TrialRecord, ...]
     summaries: tuple[BatchSummary, ...]
 
@@ -297,7 +296,7 @@ def _summarize(n: int, p: float, records: list[TrialRecord], delta: float) -> Ba
         if total:
             mass = (hist.get(window[0], 0) + hist.get(window[1], 0)) / total
     try:
-        k_hat = solve_k_hat(n, p).root
+        k_hat = solve_k_hat(n, p)
     except (BracketError, ValueError):
         k_hat = None
     return BatchSummary(n, p, hist, lb_only, window, mass, near_tie, k_hat)
@@ -310,13 +309,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         workers = config.workers
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    batches = [(n, config.p_rule.p(n)) for n in config.n_values]
     jobs = []
-    stream = 0
-    for n in config.n_values:
-        p = config.p_rule.p(n)
+    for n, p in batches:
         for _ in range(config.trials):
-            jobs.append((n, p, stream, config.master_seed, config.solver))
-            stream += 1
+            jobs.append((n, p, len(jobs), config.master_seed, config.solver))
     if workers > 1:
         # about four chunks per worker, so even a small batch reaches every worker
         chunksize = max(1, math.ceil(len(jobs) / (4 * workers)))
@@ -324,34 +321,14 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
             records = list(pool.map(_run_trial, jobs, chunksize=chunksize))
     else:
         records = [_run_trial(j) for j in jobs]
+    # pool.map keeps job order, so batch i is the i-th slice of config.trials records
+    t = config.trials
+    summaries = tuple(
+        _summarize(n, p, records[i * t : (i + 1) * t], config.delta)
+        for i, (n, p) in enumerate(batches)
+    )
     records.sort(key=TrialRecord.sort_key)
-    summaries = []
-    for n in config.n_values:
-        p = config.p_rule.p(n)
-        batch = [r for r in records if r.n == n and r.p == p]
-        summaries.append(_summarize(n, p, batch, config.delta))
-    return ExperimentResult(config, tuple(records), tuple(summaries))
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-def concentration_report(
-    records: tuple[TrialRecord, ...] | list[TrialRecord], delta: float = 0.5
-) -> BatchSummary:
-    """Summary of one (n, p) batch of records; rejects mixed batches and batches
-    without an optimal record."""
-    if not records:
-        raise ValueError("empty record set")
-    keys = {(r.n, r.p) for r in records}
-    if len(keys) > 1:
-        raise ValueError(f"mixed (n, p) batches: {sorted(keys)}")
-    (n, p), = keys
-    summary = _summarize(n, p, list(records), delta)
-    if not summary.histogram:
-        raise ValueError("no optimal records to summarize")
-    return summary
+    return ExperimentResult(tuple(records), summaries)
 
 
 # ---------------------------------------------------------------------------

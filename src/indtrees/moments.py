@@ -22,6 +22,7 @@ KHAT_TOL = 1e-9
 STIRLING_MIN_M = 1000  # below it, lgamma differences are exact to ~1e-13 relative
 NEAR_TIE_EPS = 1e-6
 DEFAULT_W_EXPONENT = 0.25
+DEFAULT_DELTA = 0.5
 
 
 def _check_p(p: float) -> None:
@@ -123,14 +124,6 @@ def k_hat_closed_form(n: int, p: float) -> float:
     return 2 * log(e * n * p) / L + 3 * log(p) / (2 * log(n * p)) + 3
 
 
-@dataclass(frozen=True)
-class KHatResult:
-    root: float  # bisection root of gamma
-    closed_form: float
-    gap: float  # root - closed_form, the empirical size of the o(1) term
-    gamma_at_root: float
-
-
 class BracketError(RuntimeError):
     """The root bracket for k_hat failed; (n, p) outside the supported range."""
 
@@ -168,7 +161,7 @@ def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def solve_k_hat(n: int, p: float) -> KHatResult:
+def solve_k_hat(n: int, p: float) -> float:
     """Bisection root of gamma on [argmax gamma + 1, k_star].
 
     The root has |gamma| <= KHAT_TOL = 1e-9 wherever a float k reaches that;
@@ -205,8 +198,7 @@ def solve_k_hat(n: int, p: float) -> KHatResult:
     g_root = gamma(n, p, root)
     if abs(g_root) > max(KHAT_TOL, _gamma_rounding(n, p, root)):
         raise BracketError(f"bisection stalled: gamma = {g_root:.3g} at n={n}, p={p}")
-    cf = k_hat_closed_form(n, p)
-    return KHatResult(root, cf, root - cf, g_root)
+    return root
 
 
 @dataclass(frozen=True)
@@ -292,20 +284,22 @@ class MomentProfile:
         }
 
 
-def compute_profile(n: int, p: float, delta: float = 0.5) -> MomentProfile:
-    kh = solve_k_hat(n, p)
+def compute_profile(n: int, p: float, delta: float = DEFAULT_DELTA) -> MomentProfile:
+    root = solve_k_hat(n, p)
     thr = g_threshold(n, p, delta)
-    k = math.floor(kh.root - 1 + delta)
+    k = math.floor(root - 1 + delta)
     pts = partition_points(n, p, k, _w(n, DEFAULT_W_EXPONENT))
+    ks = k_star(n, p)
+    cf = k_hat_closed_form(n, p)
     return MomentProfile(
         n=n,
         p=p,
         b=1 / (1 - p),
-        k_star=k_star(n, p),
-        k_hat=kh.root,
-        epsilon=k_star(n, p) - kh.root,
-        k_hat_closed_form=kh.closed_form,
-        closed_form_gap=kh.gap,
+        k_star=ks,
+        k_hat=root,
+        epsilon=ks - root,
+        k_hat_closed_form=cf,
+        closed_form_gap=root - cf,
         delta=delta,
         threshold=thr,
         k=k,
@@ -327,9 +321,6 @@ class VarianceBound:
     parts: tuple[tuple[str, int, int], ...]  # (part, lo, hi): lo <= ell < hi, from 2 to k
     part_log_sums: dict[str, float]  # -inf for an empty part
     log_total: float
-
-    def part_sum(self, part: str) -> float:
-        return self.part_log_sums.get(part, -math.inf)
 
     def rows(self) -> Iterator[tuple[str, int, float]]:
         """(part, ell, log summand) for each ell, as Python str, int and float

@@ -12,6 +12,7 @@ from .graphs import Graph, induced_subgraph, is_connected_set, is_tree, mask_ver
 from .rng import Seed
 
 DEFAULT_BUDGET = 10**8
+DEFAULT_RESTARTS = 100
 
 
 @dataclass(frozen=True)

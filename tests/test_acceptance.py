@@ -29,7 +29,6 @@ from indtrees.experiments import (
     ExperimentConfig,
     PRule,
     SolverSpec,
-    concentration_report,
     export_csv,
     run_experiment,
 )
@@ -133,12 +132,12 @@ def test_criterion_6_threshold_sign_flip():
     ok = True
     for n in (10**5, 10**6, 10**7):
         for p in (n**-0.2, n**-0.25, 1 / (3 * math.log(n)), 0.02):
-            res = solve_k_hat(n, p)
-            if abs(gamma(n, p, res.root)) > 1e-9:
+            root = solve_k_hat(n, p)
+            if abs(gamma(n, p, root)) > 1e-9:
                 ok = False
-            if log_expected_trees(n, p, math.floor(res.root - 0.5)).logmag <= 0:
+            if log_expected_trees(n, p, math.floor(root - 0.5)).logmag <= 0:
                 ok = False
-            if log_expected_trees(n, p, math.ceil(res.root + 0.5)).logmag >= 0:
+            if log_expected_trees(n, p, math.ceil(root + 0.5)).logmag >= 0:
                 ok = False
     _report(6, "threshold sign flip grid", ok)
 
@@ -150,7 +149,7 @@ def test_criterion_7_variance_bound_smallness():
     theta = THETA_UPPER / 2  # halfway into the theorem's range of p = n^-theta
     for n in (10**30, 10**40, 10**50):
         p = float(n) ** -theta
-        k = math.floor(solve_k_hat(n, p).root - 0.5)
+        k = math.floor(solve_k_hat(n, p) - 0.5)
         vb = variance_ratio_bound(n, p, k)
         worst = max(vb.part_log_sums.values())
         details.append(f"n={n:.0e}: regime={vb.regime} max part log-sum={worst:.1f}")
@@ -199,7 +198,7 @@ def test_criterion_9_desk_scale_concentration():
     export_csv(r2.records, b2)
     identical = b1.getvalue() == b2.getvalue()
 
-    rep = concentration_report(r1.records, delta=cfg.delta)
+    rep = r1.summaries[0]
     total = sum(rep.histogram.values())
     markov_ok = True
     for size, count in rep.histogram.items():

@@ -12,7 +12,7 @@ from indtrees.experiments import (
     PRule,
     SolverSpec,
     TrialRecord,
-    concentration_report,
+    _summarize,
     export_csv,
     export_json,
     import_csv,
@@ -221,6 +221,31 @@ def test_run_experiment_deterministic_across_workers():
     ]
 
 
+def test_summaries_follow_config_order_with_per_n_batches():
+    # a power rule gives each n its own p; n_values are not sorted
+    cfg = small_config(n_values=(12, 8, 10), p_rule=PRule("power", 0.1), trials=5)
+    serial = run_experiment(cfg, workers=1)
+    parallel = run_experiment(cfg, workers=2)
+    assert [(s.n, s.p) for s in serial.summaries] == [(n, cfg.p_rule.p(n)) for n in cfg.n_values]
+    assert [(r.n, r.stream) for r in serial.records] == sorted(
+        (r.n, r.stream) for r in serial.records
+    )
+    for s in serial.summaries:
+        batch = [r for r in serial.records if r.n == s.n]
+        assert len(batch) == cfg.trials and all(r.p == s.p for r in batch)
+        hist = {}
+        for r in batch:
+            if r.optimal:
+                hist[r.size] = hist.get(r.size, 0) + 1
+        assert s.histogram == hist
+    bufs = []
+    for result in (serial, parallel):
+        buf = io.StringIO()
+        export_json(result, buf)
+        bufs.append(buf.getvalue())
+    assert bufs[0] == bufs[1]
+
+
 def test_records_reproduce_solver_output():
     cfg = small_config(trials=5)
     result = run_experiment(cfg)
@@ -249,6 +274,14 @@ def test_greedy_tier_excluded_from_histogram():
     assert summary.lower_bound_only == 6
 
 
+def test_report_window_mass_undefined_without_optimal_trials():
+    cfg = small_config(solver=SolverSpec("greedy", restarts=5), trials=6)
+    (summary,) = run_experiment(cfg).summaries
+    window = [line for line in summary.to_text().splitlines() if "g(n) window" in line]
+    assert window == ["  g(n) window [9, 10] mass undefined (no optimal trials)"]
+    assert summary.to_dict()["window_mass"] == 0.0
+
+
 # --- reporting ---------------------------------------------------------------
 
 
@@ -258,7 +291,7 @@ def _record(n, p, stream, size, optimal=True):
 
 def test_report_single_bar():
     recs = [_record(10, 0.4, i, 5) for i in range(20)]
-    rep = concentration_report(recs)
+    rep = _summarize(10, 0.4, recs, 0.5)
     assert rep.histogram == {5: 20}
     assert rep.best_pair_mass == 1.0
     assert rep.best_pair in ((5, 6), (4, 5))
@@ -270,16 +303,9 @@ def test_report_complete_graph_measures_two():
     res = max_induced_tree(g)
     assert res.size == 2
     recs = [_record(5, 0.9999, i, res.size) for i in range(10)]
-    rep = concentration_report(recs)
+    rep = _summarize(5, 0.9999, recs, 0.5)
     assert rep.best_pair_mass == 1.0
     assert rep.histogram == {2: 10}
-
-
-def test_report_rejects_mixed_batches():
-    with pytest.raises(ValueError):
-        concentration_report([_record(10, 0.4, 0, 5), _record(12, 0.4, 1, 5)])
-    with pytest.raises(ValueError):
-        concentration_report([])
 
 
 def test_report_best_pair():
@@ -288,7 +314,7 @@ def test_report_best_pair():
         + [_record(10, 0.4, 10 + i, 7) for i in range(10)]
         + [_record(10, 0.4, 30 + i, 8) for i in range(4)]
     )
-    rep = concentration_report(recs)
+    rep = _summarize(10, 0.4, recs, 0.5)
     assert rep.best_pair == (6, 7)
     assert rep.best_pair_mass == pytest.approx(16 / 20)
     assert rep.markov_tail  # E X_k lines for sizes above the histogram

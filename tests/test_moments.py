@@ -35,7 +35,7 @@ LARGE_N = (10**12, 10**18, 10**30, 10**50)
 def criterion7_cell(n):
     """(n, p, k) as acceptance criterion 7 picks them at n."""
     p = float(n) ** -(THETA_UPPER / 2)
-    return n, p, math.floor(solve_k_hat(n, p).root - 0.5)
+    return n, p, math.floor(solve_k_hat(n, p) - 0.5)
 
 
 def mp_log_expected(n, p, k):
@@ -138,12 +138,11 @@ def test_gamma_derivative_is_derivative():
 
 def test_k_hat_root_properties():
     for (n, p) in [(10**5, 0.02), (10**6, (10**6) ** -0.25), (10**7, 1 / (3 * math.log(10**7)))]:
-        res = solve_k_hat(n, p)
-        assert abs(res.gamma_at_root) <= 1e-9
-        assert res.root < k_star(n, p)
+        root = solve_k_hat(n, p)
+        assert abs(gamma(n, p, root)) <= 1e-9
+        assert root < k_star(n, p)
         assert gamma(n, p, k_star(n, p)) < 0  # epsilon = k_star - k_hat > 0
-        assert res.gap == pytest.approx(res.root - k_hat_closed_form(n, p))
-        assert abs(res.gap) < 2.0  # closed form drops only o(1) terms
+        assert abs(root - k_hat_closed_form(n, p)) < 2.0  # closed form drops only o(1) terms
 
 
 def test_k_hat_root_where_gamma_is_coarser_than_tol():
@@ -157,7 +156,7 @@ def test_k_hat_root_where_gamma_is_coarser_than_tol():
     for (theta, e) in stalls:
         n = 10**e
         p = float(n) ** -theta
-        root = solve_k_hat(n, p).root
+        root = solve_k_hat(n, p)
         assert log_expected_trees(n, p, math.floor(root - 0.5)).logmag > 0
         assert log_expected_trees(n, p, math.ceil(root + 0.5)).logmag < 0
 
@@ -175,7 +174,7 @@ def test_k_hat_root_where_gamma_is_coarser_than_tol():
     ids=["14-.45", "16-.45", "1e8-.02", "1e30-theta.0584", "1e46-theta.0584"],
 )
 def test_k_hat_root_bits_pinned(n, p, root_hex):
-    assert solve_k_hat(n, p).root.hex() == root_hex
+    assert solve_k_hat(n, p).hex() == root_hex
 
 
 def test_k_hat_unsupported_range_raises():
@@ -185,7 +184,7 @@ def test_k_hat_unsupported_range_raises():
 
 def test_sign_flip_around_root():
     n, p = 10**6, 0.02
-    root = solve_k_hat(n, p).root
+    root = solve_k_hat(n, p)
     assert log_expected_trees(n, p, math.floor(root - 0.5)).logmag > 0
     assert log_expected_trees(n, p, math.ceil(root + 0.5)).logmag < 0
 
@@ -240,7 +239,7 @@ def test_delta_not_finite_rejected(delta):
 def test_partition_points_ordered_in_sparse_regime():
     n = 10**8
     p = n**-0.2
-    k = math.floor(solve_k_hat(n, p).root - 0.5)
+    k = math.floor(solve_k_hat(n, p) - 0.5)
     pts = partition_points(n, p, k, math.log(n) ** 0.25)
     assert pts.ordered
     assert 2 <= pts.ell_star <= pts.k_minus_w_over_p <= pts.k_minus_half_p <= k - 1
@@ -256,6 +255,71 @@ def test_profile_fields_consistent():
     assert d["n"] == 10**5
 
 
+PROFILE_PINS = {
+    (16, 0.45): {
+        "b": "0x1.d1745d1745d17p+0",
+        "k_star": "0x1.9e621188a8cddp+3",
+        "k_hat": "0x1.5ca8fc1680f9ep+3",
+        "epsilon": "0x1.06e455c89f4fcp+1",
+        "k_hat_closed_form": "0x1.8af79f6e78abep+3",
+        "closed_form_gap": "-0x1.72751abfbd900p+0",
+        "delta": "0x1.0000000000000p-1",
+        "g": 10,
+        "g_raw": "0x1.4e621188a8cdcp+3",
+        "g_near_tie": False,
+        "k": 10,
+        "ell_star": "-0x1.22a04f0b0ef59p+3",
+        "ell_1": "-0x1.20464ace24f02p+4",
+        "ell_2": "0x1.9555555555555p+2",
+        "w": "0x1.4a571269bb980p+0",
+    },
+    (10**5, 0.02): {
+        "b": "0x1.05397829cbc15p+0",
+        "k_star": "0x1.ab3aedd833661p+9",
+        "k_hat": "0x1.aa6c6cb7ab5cap+9",
+        "epsilon": "0x1.9d02411012e00p+0",
+        "k_hat_closed_form": "0x1.aad81c5abbd8fp+9",
+        "closed_form_gap": "-0x1.aebe8c41f1400p-1",
+        "delta": "0x1.0000000000000p-1",
+        "g": 851,
+        "g_raw": "0x1.a9faedd833661p+9",
+        "g_near_tie": False,
+        "k": 852,
+        "ell_star": "-0x1.2f84f7c189bc7p+7",
+        "ell_1": "-0x1.8db5ff1f1d18ep+9",
+        "ell_2": "0x1.6080000000000p+9",
+        "w": "0x1.d78f339111f8cp+0",
+    },
+    (10**30, (10**30) ** -0.0584): {
+        "b": "0x1.049cf68315676p+0",
+        "k_star": "0x1.ce6d59aa9ccf6p+12",
+        "k_hat": "0x1.ce68b4db1ae8ep+12",
+        "epsilon": "0x1.2933e079a0000p-2",
+        "k_hat_closed_form": "0x1.ce6bdc9a4cc4fp+12",
+        "closed_form_gap": "-0x1.93df98ee08000p-3",
+        "delta": "0x1.0000000000000p-1",
+        "g": 7396,
+        "g_raw": "0x1.ce4559aa9ccf6p+12",
+        "g_near_tie": False,
+        "k": 7398,
+        "ell_star": "0x1.782f4f91a51e7p+12",
+        "ell_1": "0x1.ecabe3fe02d27p+11",
+        "ell_2": "0x1.c3f84d72027ffp+12",
+        "w": "0x1.7103e15dfabd4p+1",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(PROFILE_PINS), ids=["16-.45", "1e5-.02", "1e30-theta.0584"])
+def test_profile_to_dict_pinned(cell):
+    # key by key, so that a key added to to_dict leaves the pin valid
+    n, p = cell
+    d = compute_profile(n, p).to_dict()
+    assert d["n"] == n and d["p"] == p
+    got = {key: d[key].hex() if type(d[key]) is float else d[key] for key in PROFILE_PINS[cell]}
+    assert got == PROFILE_PINS[cell]
+
+
 # --- near-total-overlap maximizer -------------------------------------------
 
 
@@ -266,7 +330,7 @@ def test_part3_summand_unimodal_with_decreasing_ratio():
     # dropped lower-order terms, which are not small at these sizes.)
     n = 10**8
     p = n**-0.2
-    k = math.floor(solve_k_hat(n, p).root - 0.5)
+    k = math.floor(solve_k_hat(n, p) - 0.5)
     pts = partition_points(n, p, k, math.log(n) ** 0.25)
     for ell in (
         math.floor(pts.k_minus_w_over_p) + 1,
@@ -291,7 +355,7 @@ def test_part3_summand_unimodal_with_decreasing_ratio():
 def test_variance_bound_structure_sparse():
     n, p = 10**8, (10**8) ** -0.2
     assert p < 1 / (2 * math.log(n))
-    k = math.floor(solve_k_hat(n, p).root - 0.5)
+    k = math.floor(solve_k_hat(n, p) - 0.5)
     vb = variance_ratio_bound(n, p, k)
     assert vb.regime == "sparse"
     ells = [ell for (_, ell, _) in vb.rows()]
@@ -310,7 +374,7 @@ def test_variance_bound_structure_sparse():
 def test_variance_bound_structure_dense():
     n, p = 10**5, 0.2
     assert p >= 1 / (2 * math.log(n))
-    k = math.floor(solve_k_hat(n, p).root - 0.5)
+    k = math.floor(solve_k_hat(n, p) - 0.5)
     vb = variance_ratio_bound(n, p, k)
     assert vb.regime == "dense"
     assert set(vb.part_log_sums) <= {"trivial", "product", "tail"}
@@ -444,7 +508,7 @@ def test_variance_bound_keeps_one_float_per_ell():
 def test_variance_bound_matches_loop_with_an_empty_part():
     # w = (ln n)^3 pushes k - w/p below ell*: part 2 is empty, part 3 takes its ells
     vb = assert_matches_loop(10**8, 0.01, 2949, 3.0)
-    assert vb.part_sum("part2") == -math.inf
+    assert vb.part_log_sums["part2"] == -math.inf
     [(lo, hi)] = [(lo, hi) for (part, lo, hi) in vb.parts if part == "part2"]
     assert lo == hi
     assert "part2" not in {part for (part, _, _) in vb.rows()}
