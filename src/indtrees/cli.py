@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,9 +28,9 @@ from .graphs import mask_vertices, read_graph, sample_gnp, write_graph
 from .moments import (
     DEFAULT_DELTA,
     DEFAULT_W_EXPONENT,
-    BracketError,
     compute_profile,
     solve_k_hat,
+    target_k,
     variance_ratio_bound,
 )
 from .rng import Seed
@@ -152,7 +151,7 @@ def _cmd_moments_profile(args) -> int:
 def _cmd_moments_varbound(args) -> int:
     k = args.k
     if k is None:
-        k = math.floor(solve_k_hat(args.n, args.p) - 0.5)
+        k = target_k(solve_k_hat(args.n, args.p))
     vb = variance_ratio_bound(args.n, args.p, k, args.w_exponent)
     print("part,ell,log_summand")
     for part, ell, v in vb.rows():
@@ -162,25 +161,17 @@ def _cmd_moments_varbound(args) -> int:
 
 
 def _cmd_experiment_run(args) -> int:
-    try:
-        try:
-            config = ExperimentConfig.from_json(args.config)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 3
-        # run_experiment validates the config, and warns, before any trial
-        result = run_experiment(config, workers=args.workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        export_csv(result.records, out / "records.csv")
-        export_json(result, out / "result.json")
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 3
+    config = ExperimentConfig.from_json(args.config)
+    out = Path(args.out)
+    # the nearest existing path at or above --out must be a directory
+    existing = next(q for q in (out, *out.parents) if q.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out: {existing} is not a directory")
+    # run_experiment validates the config, and warns, before any trial
+    result = run_experiment(config, workers=args.workers)
+    out.mkdir(parents=True, exist_ok=True)
+    export_csv(result.records, out / "records.csv")
+    export_json(result, out / "result.json")
     for s in result.summaries:
         print(s.to_text())
     print(f"wrote {out / 'records.csv'} and {out / 'result.json'}")
@@ -263,12 +254,12 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
-    except OSError as exc:
-        print(f"indtrees {args.command}: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, BracketError) as exc:
-        print(f"indtrees {args.command}: {exc}", file=sys.stderr)
+    except (ConfigError, json.JSONDecodeError) as exc:  # a config that is not valid JSON
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ValueError) as exc:
+        print(f"indtrees {args.command}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -313,6 +313,10 @@ def extensions_match_enumeration(k: int, l: int) -> bool:
     return {mask: t for mask, t in closed.items() if t} == _restriction_masks(k, l)
 
 
+def product_bound_max_ell(k: int, p: float) -> float:
+    return k - 2 * (1 - p) / p  # the product bound's hypothesis is ell <= this
+
+
 @dataclass(frozen=True)
 class BoundRow:
     r: int
@@ -367,7 +371,7 @@ def validate_overlap_bounds(k: int, l: int) -> BoundReport:
             ok = ok and n_match <= b_prod * (1 + 1e-12) and n_match <= b_forest * (1 + 1e-12)
         p_checks = []
         for p in PRODUCT_BOUND_PS:
-            applicable = l <= k - 2 * (1 - p) / p
+            applicable = l <= product_bound_max_ell(k, p)
             p_ok = True
             if applicable:
                 lhs = n_match * ((1 - p) / p) ** r

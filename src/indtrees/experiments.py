@@ -13,10 +13,10 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .graphs import open_output, sample_gnp
-from .moments import DEFAULT_DELTA, BracketError, g_threshold, log_expected_trees, solve_k_hat
+from .graphs import check_vertex_count, open_output, sample_gnp
+from .moments import DEFAULT_DELTA, THETA_UPPER, g_threshold, log_expected_trees, solve_k_hat
 from .rng import Seed
 from .solver import (
     DEFAULT_BUDGET,
@@ -26,7 +26,6 @@ from .solver import (
     max_induced_tree,
 )
 
-THETA_UPPER = (math.e - 2) / (3 * math.e - 2)  # Theorem hypothesis boundary
 _SOLVER_STREAM_OFFSET = 1 << 63  # solver randomness never shares a sampling stream
 
 
@@ -53,14 +52,20 @@ def _json_number(value, field: str) -> float:
         raise ConfigError(f"{field} is too large for a float") from None
 
 
-def _json_object(value, field: str, required: tuple[str, ...] = ()) -> dict:
-    """value if it is a JSON object holding every required key, else a
-    ConfigError naming the field, or the first key missing from it."""
+def _json_object(
+    value, field: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict:
+    """value if it is a JSON object holding every required key and no key
+    outside required + optional, else a ConfigError naming the field, or the
+    first key missing from it, or the first key nothing reads."""
     if type(value) is not dict:
         raise ConfigError(f"{field} must be a JSON object, got {value!r}")
     for key in required:
         if key not in value:
             raise ConfigError(f"{key} is missing from {field}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key {key!r} in {field}")
     return value
 
 
@@ -120,6 +125,7 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 1:
                 raise ConfigError(f"n must be positive, got {n}")
+            check_vertex_count(n, ConfigError)
             p = self.p_rule.p(n)
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"p rule gives p={p} at n={n}, need 0 < p < 1")
@@ -132,9 +138,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        _json_object(d, "experiment config", ("n_values", "p_rule", "trials", "master_seed"))
+        _json_object(
+            d,
+            "experiment config",
+            ("n_values", "p_rule", "trials", "master_seed"),
+            ("delta", "solver", "workers", "output_path"),  # output_path: old configs; unread
+        )
         rule = _json_object(d["p_rule"], "p_rule", ("kind", "value"))
-        solver = _json_object(d.get("solver", {}), "solver")
+        solver = _json_object(d.get("solver", {}), "solver", (), ("kind", "budget", "restarts"))
         if type(d["n_values"]) is not list:
             raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
         return ExperimentConfig(
@@ -297,18 +308,17 @@ def _summarize(n: int, p: float, records: list[TrialRecord], delta: float) -> Ba
             mass = (hist.get(window[0], 0) + hist.get(window[1], 0)) / total
     try:
         k_hat = solve_k_hat(n, p)
-    except (BracketError, ValueError):
+    except ValueError:
         k_hat = None
     return BatchSummary(n, p, hist, lb_only, window, mass, near_tie, k_hat)
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Execute all trials; identical config gives identical records at any worker count."""
+    if workers is not None:
+        config = replace(config, workers=workers)
     config.validate()
-    if workers is None:
-        workers = config.workers
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = config.workers
     batches = [(n, config.p_rule.p(n)) for n in config.n_values]
     jobs = []
     for n, p in batches:

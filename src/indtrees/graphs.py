@@ -21,6 +21,11 @@ _SPACE = np.zeros(256, dtype=bool)  # the ASCII bytes str.split() splits on
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
+def check_vertex_count(n: int, error: type[ValueError] = ValueError) -> None:
+    if not 0 <= n <= MAX_N:
+        raise error(f"vertex count {n} outside [0, {MAX_N}]")
+
+
 class Graph:
     """Immutable simple graph on [n], stored as the sorted lexicographic
     indices of its edges (see _pair_index_bounds); adj[v], the neighbour
@@ -29,8 +34,7 @@ class Graph:
     __slots__ = ("n", "_pairs", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 0 <= n <= MAX_N:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_N}]")
+        check_vertex_count(n)
         edges = list(edges)
         # dtype inferred, not forced: a float, string or None endpoint, or an
         # int past int64, is rejected rather than truncated
@@ -193,8 +197,7 @@ def sample_gnp(n: int, p: float, seed: Seed) -> Graph:
     """
     if math.isnan(p) or not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if n < 0 or n > MAX_N:
-        raise ValueError(f"n must be in [0, {MAX_N}]")
+    check_vertex_count(n)
     return Graph._from_pair_index(n, _sample_pair_index(n, p, seed))
 
 
@@ -332,8 +335,7 @@ def read_graph(path) -> Graph:
     if len(header) != 2:
         raise ValueError("malformed header, expected 'n m'")
     n, m = int(header[0]), int(header[1])
-    if not 0 <= n <= MAX_N:
-        raise ValueError(f"vertex count {n} outside [0, {MAX_N}]")
+    check_vertex_count(n)
     values = [np.empty(0, dtype=np.int64)]
     line = 2  # the number of the next block's first line
     while start < len(data):

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .counting import f_piecewise
+from .counting import f_piecewise, product_bound_max_ell
 from .logreal import LogReal, log_sum_exp
 
 KHAT_TOL = 1e-9
@@ -23,6 +23,7 @@ STIRLING_MIN_M = 1000  # below it, lgamma differences are exact to ~1e-13 relati
 NEAR_TIE_EPS = 1e-6
 DEFAULT_W_EXPONENT = 0.25
 DEFAULT_DELTA = 0.5
+THETA_UPPER = (math.e - 2) / (3 * math.e - 2)  # the theorem's p = n^-theta has 0 < theta < this
 
 
 def _check_p(p: float) -> None:
@@ -124,7 +125,7 @@ def k_hat_closed_form(n: int, p: float) -> float:
     return 2 * log(e * n * p) / L + 3 * log(p) / (2 * log(n * p)) + 3
 
 
-class BracketError(RuntimeError):
+class BracketError(ValueError):
     """The root bracket for k_hat failed; (n, p) outside the supported range."""
 
 
@@ -259,7 +260,7 @@ class MomentProfile:
     closed_form_gap: float
     delta: float
     threshold: Threshold
-    k: int  # floor(k_hat - 1 + delta), the size the second moment targets
+    k: int  # target_k(k_hat, delta), the size the second moment targets
     points: PartitionPoints
 
     def to_dict(self) -> dict:
@@ -284,10 +285,14 @@ class MomentProfile:
         }
 
 
+def target_k(k_hat: float, delta: float = DEFAULT_DELTA) -> int:
+    return math.floor(k_hat - 1 + delta)  # the tree size the second moment targets
+
+
 def compute_profile(n: int, p: float, delta: float = DEFAULT_DELTA) -> MomentProfile:
     root = solve_k_hat(n, p)
     thr = g_threshold(n, p, delta)
-    k = math.floor(root - 1 + delta)
+    k = target_k(root, delta)
     pts = partition_points(n, p, k, _w(n, DEFAULT_W_EXPONENT))
     ks = k_star(n, p)
     cf = k_hat_closed_form(n, p)
@@ -558,7 +563,7 @@ def _part_ranges(p: float, k: int, sparse: bool, pts: PartitionPoints):
     else:
         cuts = (
             ("trivial", pts.ell_1, t.trivial),
-            ("product", k - 2 * (1 - p) / p, t.f_hat),
+            ("product", product_bound_max_ell(k, p), t.f_hat),
             ("tail", k, t.tail),
         )
     ranges = []

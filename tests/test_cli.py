@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import indtrees
-from indtrees import cli, counting
+from indtrees import cli, counting, experiments
 from indtrees.cli import main
 from indtrees.experiments import THETA_UPPER
 from indtrees.graphs import read_graph
@@ -504,8 +504,13 @@ def test_experiment_run_rejects_bad_numbers(capsys, tmp_path, fields, message):
         ({"solver": None}, "solver must be a JSON object, got None"),
         ({"p_rule": "constant"}, "p_rule must be a JSON object, got 'constant'"),
         ({"p_rule": [0.4]}, "p_rule must be a JSON object, got [0.4]"),
+        ({"delt": 9}, "unknown key 'delt' in experiment config"),
+        ({"p_rule": {"kind": "constant", "value": 0.4, "vlaue": 0.3}},
+         "unknown key 'vlaue' in p_rule"),
+        ({"solver": {"kind": "greedy", "restart": 1}}, "unknown key 'restart' in solver"),
     ],
-    ids=["solver-int", "solver-list", "solver-null", "p_rule-str", "p_rule-list"],
+    ids=["solver-int", "solver-list", "solver-null", "p_rule-str", "p_rule-list",
+         "unknown-top-level-key", "unknown-p_rule-key", "unknown-solver-key"],
 )
 def test_experiment_run_rejects_non_object_sections(capsys, tmp_path, fields, message):
     cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
@@ -551,6 +556,61 @@ def test_experiment_run_rejects_non_object_config(capsys, tmp_path, text):
     assert code == 2 and out == "" and not out_dir.exists()
     message = f"experiment config must be a JSON object, got {json.loads(text)!r}"
     assert_one_line_error(err, "config error:", message)
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """The number of graphs experiment trials have sampled, as a one-item list."""
+    calls = [0]
+    real = experiments.sample_gnp
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "sample_gnp", counted)
+    return calls
+
+
+def test_experiment_run_rejects_n_past_vertex_ceiling(capsys, tmp_path, sample_calls):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg, n_values=[8, 70000])
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists() and sample_calls == [0]
+    assert_one_line_error(err, "config error:", "vertex count 70000 outside [0, 65536]")
+
+
+def test_experiment_run_malformed_json_exits_2_missing_config_3(capsys, tmp_path):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    _write_config(cfg)
+    cfg.write_text(cfg.read_text()[:-7])
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "config error:", "line 1 column")
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(tmp_path / "missing.json"),
+        "--out", str(out_dir),
+    )
+    assert code == 3 and out == "" and not out_dir.exists()
+    assert_one_line_error(err, "missing.json")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["out-is-file", "out-under-file"])
+def test_experiment_run_rejects_file_out_before_any_trial(capsys, tmp_path, sample_calls, below):
+    cfg, taken = tmp_path / "cfg.json", tmp_path / "taken"
+    _write_config(cfg)
+    taken.write_text("keep")
+    out_dir = taken / "out" if below else taken
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 3 and out == "" and sample_calls == [0]
+    assert_one_line_error(err, f"--out: {taken} is not a directory")
+    assert taken.read_text() == "keep"
 
 
 def test_experiment_run_rejects_workers_flag_below_1(capsys, tmp_path):

@@ -65,6 +65,19 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
+@pytest.mark.parametrize("n", [-1, graphs.MAX_N + 1])
+def test_vertex_ceiling_message_shared(tmp_path, n):
+    message = re.escape(f"vertex count {n} outside [0, {graphs.MAX_N}]")
+    path = tmp_path / "g.txt"
+    path.write_text(f"{n} 0\n")
+    with pytest.raises(ValueError, match=message):
+        Graph(n)
+    with pytest.raises(ValueError, match=message):
+        sample_gnp(n, 0.5, Seed(1, 0))
+    with pytest.raises(ValueError, match=message):
+        read_graph(path)
+
+
 # Graph(3, edges): the exception raised, or the edges and rows it builds.
 # No endpoint is truncated to an integer, as np.array(edges, dtype=np.int64) would.
 EITHER = (TypeError, ValueError)
