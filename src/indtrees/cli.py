@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--w-exponent", type=float, default=DEFAULT_W_EXPONENT)
     sp.add_argument(
-        "--k", type=int, default=None, help="tree size; default floor(k_hat - 0.5)"
+        "--k", type=int, default=None,
+        help=f"tree size; default floor(k_hat - 1 + {DEFAULT_DELTA}), as in profile",
     )
     sp.set_defaults(func=_cmd_moments_varbound)
 

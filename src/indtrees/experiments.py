@@ -69,6 +69,14 @@ def _json_object(
     return value
 
 
+def _given(d: dict, key: str, parse=None, field: str = "") -> dict:
+    """{key: d[key]}, parsed by parse(value, field or key), or {} if d has no
+    key, so that the dataclass field's own default applies."""
+    if key not in d:
+        return {}
+    return {key: parse(d[key], field or key) if parse else d[key]}
+
+
 @dataclass(frozen=True)
 class PRule:
     """Edge probability as a function of n: constant c, power n^-theta, or c/ln n."""
@@ -90,7 +98,7 @@ class PRule:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    kind: str  # "exact" | "greedy"
+    kind: str = "exact"  # "exact" | "greedy"
     budget: int = DEFAULT_BUDGET
     restarts: int = DEFAULT_RESTARTS
 
@@ -100,12 +108,17 @@ class ExperimentConfig:
     n_values: tuple[int, ...]
     p_rule: PRule
     trials: int
-    delta: float
-    solver: SolverSpec
     master_seed: int
+    delta: float = DEFAULT_DELTA
+    solver: SolverSpec = SolverSpec()
     workers: int = 1
 
     def validate(self) -> None:
+        self._validate()
+
+    def _validate(self) -> None:
+        """validate(), one frame below validate or run_experiment, so that the
+        theta warning's stacklevel=3 names the line that called either."""
         if not math.isfinite(self.delta):
             raise ConfigError(f"delta must be finite, got {self.delta}")
         if self.trials < 1:
@@ -133,7 +146,7 @@ class ExperimentConfig:
             warnings.warn(
                 f"theta={self.p_rule.value} outside the diagnostic range "
                 f"(0, {THETA_UPPER:.4f}); results are exploratory",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @staticmethod
@@ -148,18 +161,19 @@ class ExperimentConfig:
         solver = _json_object(d.get("solver", {}), "solver", (), ("kind", "budget", "restarts"))
         if type(d["n_values"]) is not list:
             raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
+        # a key left out is not passed: the dataclasses own every default
         return ExperimentConfig(
             n_values=tuple(_json_int(n, "n_values entry") for n in d["n_values"]),
             p_rule=PRule(rule["kind"], _json_number(rule["value"], "p_rule.value")),
             trials=_json_int(d["trials"], "trials"),
-            delta=_json_number(d.get("delta", DEFAULT_DELTA), "delta"),
+            **_given(d, "delta", _json_number),
             solver=SolverSpec(
-                solver.get("kind", "exact"),
-                _json_int(solver.get("budget", DEFAULT_BUDGET), "solver.budget"),
-                _json_int(solver.get("restarts", DEFAULT_RESTARTS), "solver.restarts"),
+                **_given(solver, "kind"),
+                **_given(solver, "budget", _json_int, "solver.budget"),
+                **_given(solver, "restarts", _json_int, "solver.restarts"),
             ),
             master_seed=_json_int(d["master_seed"], "master_seed"),
-            workers=_json_int(d.get("workers", 1), "workers"),
+            **_given(d, "workers", _json_int),
         )
 
     @staticmethod
@@ -317,7 +331,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     """Execute all trials; identical config gives identical records at any worker count."""
     if workers is not None:
         config = replace(config, workers=workers)
-    config.validate()
+    config._validate()
     workers = config.workers
     batches = [(n, config.p_rule.p(n)) for n in config.n_values]
     jobs = []

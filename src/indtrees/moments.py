@@ -358,18 +358,37 @@ def part3_summand_log(p: float, k: int, ell: int, r: int) -> float:
 # Each part is evaluated over a block of up to _BLOCK overlaps at once, with
 # every entry equal to its scalar formula's bits:
 # - log, log1p, lgamma and ** go through math (or float.__pow__) one element
-#   at a time, lgamma at integers through a table; numpy's log, log1p and
-#   power round differently in the last ulp;
+#   at a time, log and lgamma at integers through _INT_TABLES; numpy's log,
+#   log1p and power round differently in the last ulp;
 # - every sum and product keeps the scalar expression's left-to-right order;
 # - n - k - (k - ell) is exact: int64 below 2**62 (so 2 * j cannot overflow),
 #   Python ints above.
 _BLOCK = 4096
 _INT64_EXACT = 2**62
+# math.log(j) and math.lgamma(j) at j = 0, 1, ... (entry 0 is never read),
+# shared by every call in the process. Each table grows to the largest j asked
+# for, up to _TABLE_CAP entries (256 KiB of float64 each), a limit set by
+# memory; an array reaching past it is computed whole, per call.
+_TABLE_CAP = 2**15
+_INT_TABLES = {log: np.array([math.nan]), lgamma: np.array([math.nan])}
 
 
 def _each(f, x: np.ndarray) -> np.ndarray:
     """f (a scalar math function) at each element of x."""
     return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
+def _at_ints(f, j: np.ndarray) -> np.ndarray:
+    """f(j), for f math.log or math.lgamma, at each integer j >= 1 of an int64
+    array. The tables hold f at exact floats, and math.log(j) and
+    math.lgamma(j) convert an int j < 2**53 to a float first: same bits."""
+    table = _INT_TABLES[f]
+    top = int(j.max(initial=0)) + 1
+    want = min(top, _TABLE_CAP)
+    if want > table.size:
+        more = _each(f, np.arange(float(table.size), want))
+        table = _INT_TABLES[f] = np.concatenate((table, more))
+    return table[j] if top <= table.size else _each(f, j)
 
 
 def _pairs(ell: np.ndarray) -> np.ndarray:
@@ -381,35 +400,28 @@ class _OverlapTerms:
 
     def __init__(self, n: int, p: float, k: int):
         self.n, self.p, self.k = n, p, k
-        self._lgamma = np.array([math.nan])  # lgamma at 0, 1, ...; 0 is never read
         self.log1p_p = log1p(-p)
         self.log_p = log(p)
         self.log_k = log(k)
         self.log_cnk = log_binom(n, k)
 
-    def lgamma_int(self, x: np.ndarray) -> np.ndarray:
-        """lgamma at integers x >= 1, each computed once (math.lgamma(j) is
-        math.lgamma(float(j))); the table grows to the largest x asked for."""
-        have, top = self._lgamma.size, int(x.max(initial=0)) + 1
-        if top > have:
-            more = _each(lgamma, np.arange(float(have), top))
-            self._lgamma = np.concatenate((self._lgamma, more))
-        return self._lgamma[x]
-
-    def log_binom(self, n: int, j: np.ndarray) -> np.ndarray:
-        """log_binom(n, j) at each j >= 0 of an int64 array, for n <= 1e308."""
+    def log_binom(self, n: int, j: np.ndarray, lg_j: np.ndarray) -> np.ndarray:
+        """log_binom(n, j) at each j >= 0 of an int64 array, for n <= 1e308,
+        given lg_j = lgamma(j + 1)."""
         out = np.full(j.size, -math.inf)
         if n < _INT64_EXACT:
             ok = j <= n
-            j = np.where(2 * j > n, n - j, j)
-            m = n - j
+            swap = 2 * j > n  # then n - j is the smaller side
+            m = np.where(swap, j, n - j)  # the larger side
             small = ok & (m < STIRLING_MIN_M)
+            lg_nj = np.zeros(j.size)  # lgamma(n - j + 1), where it is read
+            need = ok & (swap | small)
+            lg_nj[need] = _at_ints(lgamma, n - j[need] + 1)
+            lg_lo = np.where(swap, lg_nj, lg_j)  # lgamma(n - m + 1)
             if small.any():
-                out[small] = (
-                    lgamma(n + 1) - self.lgamma_int(j[small] + 1) - self.lgamma_int(m[small] + 1)
-                )
+                out[small] = lgamma(n + 1) - lg_lo[small] - np.where(swap, lg_j, lg_nj)[small]
             big = ok & ~small
-            j, m = j[big], m[big]
+            j, m, lg_j = (n - m)[big], m[big], lg_lo[big]
         else:
             # j <= k is far below n / 2: no swap, and m = n - j >= STIRLING_MIN_M
             big = slice(None)
@@ -420,20 +432,24 @@ class _OverlapTerms:
                 j * log(n)
                 - (m + 0.5) * _each(log1p, -j * a)
                 - j
-                - self.lgamma_int(j + 1)
+                - lg_j
                 + (a - b) * (1 / 12 - (a * a + a * b + b * b) / 360)
             )
         return out
 
     def shared(self, ell: np.ndarray) -> np.ndarray:
-        """log C(k, ell) C(n-k, k-ell); log_binom(k, ell) is log_binom(k, k-ell) to the bit."""
-        return self.log_binom(self.k, ell) + self.log_binom(self.n - self.k, self.k - ell)
+        """log C(k, ell) C(n-k, k-ell) as log_binom(k, s) + log_binom(n-k, s),
+        s = k - ell: log_binom(k, ell) is log_binom(k, s) to the bit, and
+        lgamma(s + 1) is looked up once for both."""
+        s = self.k - ell
+        lg_s = _at_ints(lgamma, s + 1)
+        return self.log_binom(self.k, s, lg_s) + self.log_binom(self.n - self.k, s, lg_s)
 
     def part1(self, ell: np.ndarray) -> np.ndarray:
         # ln k + ell (1 + 2 ln k + (1 - ell/2) ln(1-p) - ln n - ln ell - ln p)
         return self.log_k + ell * (
             1 + 2 * self.log_k + (1 - ell / 2) * self.log1p_p
-            - log(self.n) - _each(log, ell) - self.log_p
+            - log(self.n) - _at_ints(log, ell) - self.log_p
         )
 
     def f_hat(self, ell: np.ndarray) -> np.ndarray:
@@ -442,8 +458,8 @@ class _OverlapTerms:
         return (
             self.shared(ell)
             - _pairs(ell) * self.log1p_p
-            + (k - 2) * _each(log, k - ell)
-            + (k - ell - 1) * _each(log, ell + 1)
+            + (k - 2) * _at_ints(log, k - ell)
+            + (k - ell - 1) * _at_ints(log, ell + 1)
             - self.log_cnk
             - (k - 3) * self.log_k
         )
@@ -457,7 +473,7 @@ class _OverlapTerms:
         )
         r_star = ell - lam / p
         gap = ell - r_star  # lam / p > 0
-        log_ell = _each(log, ell)
+        log_ell = _at_ints(log, ell)
         return (
             self.shared(ell)
             - self.log_cnk
@@ -468,22 +484,22 @@ class _OverlapTerms:
             + gap
             + (3 * ell - 2 * r_star - 1) * log_ell
             + (3 * (r_star - ell) + 1) * _each(log, gap)
-            + 2 * (k - ell - 1) * _each(log, ell + 1)
-            + 2 * (k - r_star - 2) * _each(log, k - ell)
+            + 2 * (k - ell - 1) * _at_ints(log, ell + 1)
+            + 2 * (k - r_star - 2) * _at_ints(log, k - ell)
         )
 
     def part4(self, ell: np.ndarray) -> np.ndarray:
         k, p = self.k, self.p
         s = k - ell
-        log_s_term = np.where(s == 1, 0.0, (s - 2) * _each(log, s))  # (k-l)^(k-l-2)
+        log_s_term = np.where(s == 1, 0.0, (s - 2) * _at_ints(log, s))  # (k-l)^(k-l-2)
         return (
             self.shared(ell)
             - self.log_cnk
             - (k - 2) * self.log_k
             - _pairs(ell) * self.log1p_p
-            + _each(log, ell)
+            + _at_ints(log, ell)
             + ell * (self.log1p_p - self.log_p)
-            + (s - 1) * _each(log, ell + 1)
+            + (s - 1) * _at_ints(log, ell + 1)
             + log_s_term
             + ell * s * p / (e * (1 - p))
         )
@@ -506,7 +522,7 @@ class _OverlapTerms:
             + s * self.log_k
             - log_expected_trees(self.n, p, k).logmag
         )
-        log_ps = self.log_p - self.log1p_p + _each(log, s)
+        log_ps = self.log_p - self.log1p_p + _at_ints(log, s)
         best = [self._f1_max(l, lps) for l, lps in zip(ell.tolist(), log_ps.tolist())]
         return base + np.array(best)
 

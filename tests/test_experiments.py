@@ -19,8 +19,9 @@ from indtrees.experiments import (
     run_experiment,
 )
 from indtrees.graphs import complete_graph, path_graph, sample_gnp
+from indtrees.moments import DEFAULT_DELTA
 from indtrees.rng import Seed
-from indtrees.solver import max_induced_tree
+from indtrees.solver import DEFAULT_BUDGET, DEFAULT_RESTARTS, max_induced_tree
 from oracles import count_induced_k_trees, monte_carlo_tree_count
 
 
@@ -100,6 +101,30 @@ def test_config_rejects_repeated_n():
 def test_config_warns_outside_theorem_range():
     with pytest.warns(UserWarning):
         small_config(p_rule=PRule("power", 0.5), n_values=(100,)).validate()
+
+
+def test_theta_warning_names_the_callers_line():
+    cfg = small_config(p_rule=PRule("power", 0.5), trials=1)
+    with pytest.warns(UserWarning, match="outside the diagnostic range") as direct:
+        cfg.validate()
+    with pytest.warns(UserWarning, match="outside the diagnostic range") as batch:
+        run_experiment(cfg)
+    assert [w.filename for w in direct] == [w.filename for w in batch] == [__file__]
+
+
+def test_minimal_config_takes_the_dataclass_defaults():
+    doc = {
+        "n_values": [10],
+        "p_rule": {"kind": "constant", "value": 0.4},
+        "trials": 8,
+        "master_seed": 99,
+    }
+    cfg = ExperimentConfig(n_values=(10,), p_rule=PRule("constant", 0.4), trials=8, master_seed=99)
+    assert ExperimentConfig.from_dict(doc) == cfg
+    assert ExperimentConfig.from_dict({**doc, "solver": {}}) == cfg
+    assert (cfg.delta, cfg.solver, cfg.workers) == (
+        DEFAULT_DELTA, SolverSpec("exact", DEFAULT_BUDGET, DEFAULT_RESTARTS), 1
+    )
 
 
 def test_config_json_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from indtrees import moments
 from indtrees.experiments import THETA_UPPER
 from indtrees.moments import (
     BracketError,
@@ -512,6 +513,62 @@ def test_variance_bound_matches_loop_with_an_empty_part():
     [(lo, hi)] = [(lo, hi) for (part, lo, hi) in vb.parts if part == "part2"]
     assert lo == hi
     assert "part2" not in {part for (part, _, _) in vb.rows()}
+
+
+# --- the process-wide log j and lgamma j tables --------------------------------
+# variance_ratio_bound reads log and lgamma at integers from tables that grow
+# across calls; the loop oracle calls math directly, so every comparison with
+# it checks the table entries too.
+
+LARGEST_GRID_CELL = (10**12, (10**12) ** -0.25, 43426)  # k above _TABLE_CAP
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty tables (entry 0 only) for one test; the process's own come back after."""
+    monkeypatch.setattr(moments, "_INT_TABLES", {f: t[:1] for f, t in moments._INT_TABLES.items()})
+    return moments._INT_TABLES
+
+
+def test_variance_bound_entries_do_not_depend_on_earlier_calls(fresh_tables):
+    cell = (10**6, (10**6) ** -0.2, compute_profile(10**6, (10**6) ** -0.2).k)
+    before = variance_ratio_bound(*cell)
+    assert max(t.size for t in fresh_tables.values()) <= cell[2] + 1
+    variance_ratio_bound(*LARGEST_GRID_CELL)
+    assert fresh_tables[math.log].size == moments._TABLE_CAP
+    after = variance_ratio_bound(*cell)
+    assert after.entries.tobytes() == before.entries.tobytes()
+    assert after.part_log_sums == before.part_log_sums
+    assert after.log_total == before.log_total
+
+
+def test_tables_stop_at_the_cap(fresh_tables):
+    assert LARGEST_GRID_CELL[2] > moments._TABLE_CAP
+    assert_matches_loop(*LARGEST_GRID_CELL)
+    # log is asked for at every ell + 1 <= k; lgamma only up to about 28,000
+    assert fresh_tables[math.log].size == moments._TABLE_CAP
+    assert fresh_tables[math.lgamma].size <= moments._TABLE_CAP
+
+
+@pytest.mark.parametrize("n, p", THEORY_GRID, ids=[f"{n:.0e}-{p:.4g}" for n, p in THEORY_GRID])
+def test_variance_bound_matches_loop_past_a_small_table_cap(n, p, fresh_tables, monkeypatch):
+    # values below the cap come from the tables, values above it per call
+    monkeypatch.setattr(moments, "_TABLE_CAP", 64)
+    vb = assert_matches_loop(n, p, compute_profile(n, p).k)
+    assert vb.k > 64
+    assert all(t.size == 64 for t in moments._INT_TABLES.values())
+
+
+def test_loop_oracle_does_not_read_the_tables(fresh_tables):
+    # tables one ulp off everywhere: the oracle keeps its values, and
+    # variance_ratio_bound no longer matches it
+    n, p, k = 10**8, 0.02, compute_profile(10**8, 0.02).k
+    want = variance_ratio_bound_loop(n, p, k)
+    variance_ratio_bound(n, p, k)  # fills the tables up to k
+    for f, t in fresh_tables.items():
+        fresh_tables[f] = np.nextafter(t, math.inf)
+    assert variance_ratio_bound_loop(n, p, k) == want
+    assert tuple(variance_ratio_bound(n, p, k).rows()) != want.entries
 
 
 # --- the dense tail's screened maximum against the full scan --------------------
