@@ -13,7 +13,6 @@ from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     Graph,
     induced_subgraph,
-    is_forest,
     is_tree,
     mask_vertices,
     read_graph,
@@ -46,7 +45,6 @@ __all__ = [
     "induced_subgraph",
     "mask_vertices",
     "is_tree",
-    "is_forest",
     "read_graph",
     "write_graph",
     "max_induced_tree",

@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code: 2 for bad input, 3 for I/O errors."""
+    """Run one subcommand and return its exit code: 0 for success, 1 for a violated
+    bound or count mismatch (`oracle validate`), 2 for bad input, 3 for I/O errors."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -174,8 +174,9 @@ def _size_products(labels: np.ndarray) -> np.ndarray:
 def rooted_forest_count_closed_form(n: int, m: int) -> int:
     """C(n,m) * m * n^(n-m-1): rooted forests on [n] with m trees.
 
-    The exponent here is n-m-1; the n-m+1 variant is checked (and refuted)
-    against enumeration in the validation report.
+    The exponent here is n-m-1. Enumeration in the tests refutes the n-m+1
+    variant (test_rooted_forest_closed_form_exponent, acceptance criterion 4);
+    `oracle validate` checks only this closed form.
     """
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
@@ -221,9 +222,6 @@ class OverlapTable:
     l: int
     pairs_total: tuple[int, ...]
     pairs_matching: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.pairs_total)
 
 
 def _restriction_masks(k: int, l: int) -> dict[int, int]:

@@ -361,19 +361,18 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
 CSV_FIELDS = ("n", "p", "seed_stream", "size", "optimal", "nodes", "millis")
 
 
-def _export_row(rec: TrialRecord, canonical: bool) -> list:
-    """rec's values in CSV_FIELDS order; canonical mode zeroes the volatile millis."""
-    millis = 0 if canonical else rec.millis
-    return [rec.n, rec.p, rec.stream, rec.size, rec.optimal, rec.nodes, millis]
+def _export_row(rec: TrialRecord) -> list:
+    """rec's values in CSV_FIELDS order, millis written as 0 so that reruns give equal bytes."""
+    return [rec.n, rec.p, rec.stream, rec.size, rec.optimal, rec.nodes, 0]
 
 
-def export_csv(records, path_or_buf, canonical: bool = True) -> None:
-    """RFC-4180 CSV of _export_row, optimal as true/false; canonical reruns give equal bytes."""
+def export_csv(records, path_or_buf) -> None:
+    """RFC-4180 CSV of _export_row, optimal as true/false; millis is always written as 0."""
     with open_output(path_or_buf, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for rec in records:
-            row = _export_row(rec, canonical)
+            row = _export_row(rec)
             row[4] = "true" if rec.optimal else "false"
             writer.writerow(row)
 
@@ -396,9 +395,9 @@ def import_csv(path) -> list[TrialRecord]:
     return records
 
 
-def export_json(result: ExperimentResult, path_or_buf, canonical: bool = True) -> None:
+def export_json(result: ExperimentResult, path_or_buf) -> None:
     payload = {
-        "records": [dict(zip(CSV_FIELDS, _export_row(r, canonical))) for r in result.records],
+        "records": [dict(zip(CSV_FIELDS, _export_row(r))) for r in result.records],
         "summary": [s.to_dict() for s in result.summaries],
     }
     with open_output(path_or_buf) as fh:

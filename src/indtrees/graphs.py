@@ -66,12 +66,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._pairs)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v), u < v, in lexicographic order."""
         us, vs = _pair_endpoints(self.n, self._pairs)
@@ -124,21 +118,6 @@ def _adjacency_rows(n: int, idx: np.ndarray) -> tuple[int, ...]:
             int.from_bytes(raw[o:o + width], "little") for o in range(0, len(raw), width)
         ]
     return tuple(rows)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    edges = [(i, i + 1) for i in range(n - 1)]
-    if n >= 3:
-        edges.append((0, n - 1))
-    return Graph(n, edges)
 
 
 def _pair_index_bounds(n: int) -> np.ndarray:
@@ -269,11 +248,6 @@ def forest_components(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | N
         parent[u] = v
         size[v] += size[u]
     return [s for v, s in enumerate(size) if parent[v] == v]
-
-
-def is_forest(g: Graph) -> bool:
-    """Acyclic; vacuously true for the empty graph."""
-    return forest_components(g.n, g.edges()) is not None
 
 
 def _edge_lines(n: int, us: np.ndarray, vs: np.ndarray) -> str:

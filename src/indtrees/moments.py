@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .counting import f_piecewise, product_bound_max_ell
+from .counting import product_bound_max_ell
 from .logreal import LogReal, log_sum_exp
 
 KHAT_TOL = 1e-9
@@ -334,25 +334,6 @@ class VarianceBound:
             for a in range(lo, hi, _BLOCK):
                 b = min(a + _BLOCK, hi)
                 yield from zip(repeat(name), range(a, b), self.entries[a - 2 : b - 2].tolist())
-
-
-def part3_r_star(p: float, k: int, ell: int) -> float:
-    """Real maximizer of the overlap-edge count in the near-total-overlap zone."""
-    beta = (k - ell) * p
-    return ell - (beta * ell * p / e) ** (2.0 / 3.0) / p
-
-
-def part3_summand_log(p: float, k: int, ell: int, r: int) -> float:
-    """r-dependent factor of the overlap sum at integer r: forest-count bound
-    times ((1-p)/p)^r times the squared extension bound. Used to check that the
-    integer argmax sits next to the real stationary point."""
-    return (
-        log_binom(ell, ell - r)
-        + log(ell - r)
-        + (r - 1) * log(ell)
-        + r * (log1p(-p) - log(p))
-        + 2 * f_piecewise(k, ell, r)
-    )
 
 
 # Each part is evaluated over a block of up to _BLOCK overlaps at once, with

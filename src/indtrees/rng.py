@@ -26,9 +26,6 @@ class Seed:
         if not (0 <= self.stream < _U64):
             raise ValueError("stream index must be an unsigned 64-bit integer")
 
-    def with_stream(self, stream: int) -> "Seed":
-        return Seed(self.master, stream)
-
     def generator(self) -> np.random.Generator:
         # Philox takes a 128-bit key; (master, stream) -> key is injective.
         key = self.master * _U64 + self.stream

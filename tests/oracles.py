@@ -6,7 +6,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from indtrees.counting import OverlapTable, _forests, _restriction_masks, enumerate_labeled_trees
+from indtrees.counting import (
+    OverlapTable,
+    _forests,
+    _restriction_masks,
+    enumerate_labeled_trees,
+    f_piecewise,
+)
 from indtrees.graphs import (
     MAX_N,
     Graph,
@@ -56,7 +62,7 @@ def monte_carlo_tree_count(
     for t in range(trials):
         # pair_index follows the sampler's lexicographic pair order
         edgevec = np.zeros(m, dtype=np.int64)
-        edgevec[_sample_pair_index(n, p, seed.with_stream(t))] = 1
+        edgevec[_sample_pair_index(n, p, Seed(seed.master, t))] = 1
         codes = edgevec[sub_pairs] @ weights
         counts[t] = np.count_nonzero(is_tree_code[codes])
     mean = float(counts.mean())
@@ -70,6 +76,21 @@ def uniform_gnp(n: int, p: float, seed: Seed) -> Graph:
     graphs, so they follow the solver and not the sampler's stream."""
     below = seed.generator().random(n * (n - 1) // 2) < p
     return Graph._from_pair_index(n, np.flatnonzero(below))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if n >= 3:
+        edges.append((0, n - 1))
+    return Graph(n, edges)
 
 
 def adjacency_rows(n: int, edges) -> tuple[int, ...]:
@@ -255,6 +276,25 @@ def _f_hat_log(n: int, p: float, k: int, ell: int, log_cnk: float) -> float:
         + (k - ell - 1) * log(ell + 1)
         - log_cnk
         - (k - 3) * log(k)
+    )
+
+
+def part3_r_star(p: float, k: int, ell: int) -> float:
+    """Real maximizer of the overlap-edge count in the near-total-overlap zone."""
+    beta = (k - ell) * p
+    return ell - (beta * ell * p / e) ** (2.0 / 3.0) / p
+
+
+def part3_summand_log(p: float, k: int, ell: int, r: int) -> float:
+    """r-dependent factor of the overlap sum at integer r: forest-count bound
+    times ((1-p)/p)^r times the squared extension bound. Used to check that the
+    integer argmax sits next to the real stationary point."""
+    return (
+        log_binom(ell, ell - r)
+        + log(ell - r)
+        + (r - 1) * log(ell)
+        + r * (log1p(-p) - log(p))
+        + 2 * f_piecewise(k, ell, r)
     )
 
 

@@ -67,7 +67,7 @@ def test_criterion_2_overlap_partition():
     ok = True
     for k in range(2, 7):
         for l in range(2, k + 1):
-            total = count_overlap_pairs(k, l).total()
+            total = sum(count_overlap_pairs(k, l).pairs_total)
             if total != cayley(k) ** 2:
                 ok = False
     elapsed = time.perf_counter() - t0

@@ -274,14 +274,14 @@ def test_superset_sums_match_pairwise_loop():
 
 @pytest.mark.parametrize("l", range(2, 8))
 def test_overlap_k7_partition_and_bounds(l):
-    assert count_overlap_pairs(7, l).total() == 16807**2
+    assert sum(count_overlap_pairs(7, l).pairs_total) == 16807**2
     assert validate_overlap_bounds(7, l).all_ok
 
 
 def test_overlap_partition_small():
     for k in range(2, 6):
         for l in range(2, k + 1):
-            assert count_overlap_pairs(k, l).total() == cayley(k) ** 2
+            assert sum(count_overlap_pairs(k, l).pairs_total) == cayley(k) ** 2
 
 
 def test_overlap_tables_pinned():
@@ -296,7 +296,7 @@ def test_overlap_tables_pinned():
 @pytest.mark.parametrize("k, l", [(60, 40), (120, 100)])
 def test_overlap_partition_past_enumeration(k, l):
     table = count_overlap_pairs(k, l)
-    assert table.total() == cayley(k) ** 2
+    assert sum(table.pairs_total) == cayley(k) ** 2
     assert all(m <= t for m, t in zip(table.pairs_matching, table.pairs_total))
 
 

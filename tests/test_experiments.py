@@ -18,11 +18,11 @@ from indtrees.experiments import (
     import_csv,
     run_experiment,
 )
-from indtrees.graphs import complete_graph, path_graph, sample_gnp
+from indtrees.graphs import sample_gnp
 from indtrees.moments import DEFAULT_DELTA
 from indtrees.rng import Seed
 from indtrees.solver import DEFAULT_BUDGET, DEFAULT_RESTARTS, max_induced_tree
-from oracles import count_induced_k_trees, monte_carlo_tree_count
+from oracles import complete_graph, count_induced_k_trees, monte_carlo_tree_count, path_graph
 
 
 def small_config(**overrides):
@@ -356,12 +356,12 @@ def test_csv_header_only_for_empty():
 
 def test_csv_round_trip(tmp_path):
     recs = [
-        TrialRecord(10, 0.4, 0, 5, True, 123, 1.5),
-        TrialRecord(10, 0.4, 1, 6, False, 456, 2.5),
-        TrialRecord(12, 0.25, 2, 7, True, 789, 3.5),
+        TrialRecord(10, 0.4, 0, 5, True, 123, 0.0),
+        TrialRecord(10, 0.4, 1, 6, False, 456, 0.0),
+        TrialRecord(12, 0.25, 2, 7, True, 789, 0.0),
     ]
     path = tmp_path / "r.csv"
-    export_csv(recs, path, canonical=False)
+    export_csv(recs, path)
     assert len(path.read_text().splitlines()) == 4
     back = import_csv(path)
     assert back == recs
@@ -407,7 +407,7 @@ def test_monte_carlo_count_matches_direct_enumeration():
     seed = Seed(512)
     mean, _ = monte_carlo_tree_count(n, p, k, trials, seed)
     direct = [
-        count_induced_k_trees(sample_gnp(n, p, seed.with_stream(t)), k)
+        count_induced_k_trees(sample_gnp(n, p, Seed(seed.master, t)), k)
         for t in range(trials)
     ]
     assert mean == pytest.approx(sum(direct) / trials)

@@ -13,20 +13,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indtrees import graphs
 from indtrees.graphs import (
     Graph,
-    complete_graph,
-    cycle_graph,
+    forest_components,
     induced_subgraph,
     is_connected,
-    is_forest,
     is_tree,
     mask_vertices,
-    path_graph,
     read_graph,
     sample_gnp,
     write_graph,
 )
 from indtrees.rng import Seed
-from oracles import adjacency_rows, read_graph_lines
+from oracles import adjacency_rows, complete_graph, cycle_graph, path_graph, read_graph_lines
 
 
 def small_graphs():
@@ -140,8 +137,8 @@ def test_round_trip_builds_no_rows(monkeypatch, tmp_path, n, p):
 def test_graph_deduplicates_and_symmetrizes():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert g.degree(0) == 1 and g.degree(2) == 0
+    assert g.adj[0] >> 1 & 1 and g.adj[1] >> 0 & 1
+    assert g.adj[0].bit_count() == 1 and g.adj[2].bit_count() == 0
 
 
 def test_named_graphs():
@@ -150,7 +147,7 @@ def test_named_graphs():
     assert cycle_graph(5).edge_count == 5
     assert is_tree(path_graph(5))
     assert not is_tree(cycle_graph(5))
-    assert not is_forest(cycle_graph(3))
+    assert forest_components(3, cycle_graph(3).edges()) is None
 
 
 # --- sampling ----------------------------------------------------------------
@@ -360,7 +357,7 @@ def test_sample_edge_count_and_degree_distribution(n, p, seed):
     m = n * (n - 1) // 2
     assert abs(g.edge_count - m * p) <= 4 * math.sqrt(m * p * (1 - p))
 
-    observed = np.bincount([g.degree(v) for v in range(n)], minlength=n)
+    observed = np.bincount([g.adj[v].bit_count() for v in range(n)], minlength=n)
     log_pmf = [
         math.lgamma(n) - math.lgamma(d + 1) - math.lgamma(n - d)
         + d * math.log(p) + (n - 1 - d) * math.log1p(-p)
@@ -396,16 +393,17 @@ def test_induced_full_is_identity(g):
 def test_induced_subgraph_matches_pairwise_scan(g, mask):
     verts = [v for v in range(g.n) if (mask >> v) & 1]
     pairs = [(i, j) for j in range(len(verts)) for i in range(j)
-             if g.has_edge(verts[i], verts[j])]
+             if g.adj[verts[i]] >> verts[j] & 1]
     assert induced_subgraph(g, verts) == Graph(len(verts), pairs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_tree_implies_forest(g):
+    forest = forest_components(g.n, g.edges()) is not None
     if is_tree(g):
-        assert is_forest(g)
-    if is_forest(g) and g.n >= 1 and g.edge_count == g.n - 1:
+        assert forest
+    if forest and g.n >= 1 and g.edge_count == g.n - 1:
         assert is_tree(g)
 
 
@@ -420,11 +418,11 @@ def test_induced_subgraph_relabels_increasing():
 def test_recognizer_edge_cases():
     empty = Graph(0)
     assert not is_tree(empty)
-    assert is_forest(empty)  # vacuously acyclic
+    assert forest_components(empty.n, empty.edges()) is not None  # vacuously acyclic
     assert not is_connected(empty)
     single = Graph(1)
     assert is_tree(single)
-    assert is_forest(single)
+    assert forest_components(single.n, single.edges()) is not None
 
 
 # --- text format -------------------------------------------------------------

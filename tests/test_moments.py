@@ -20,13 +20,11 @@ from indtrees.moments import (
     k_star,
     log_binom,
     log_expected_trees,
-    part3_r_star,
-    part3_summand_log,
     partition_points,
     solve_k_hat,
     variance_ratio_bound,
 )
-from oracles import f1_max_scan, variance_ratio_bound_loop
+from oracles import f1_max_scan, part3_r_star, part3_summand_log, variance_ratio_bound_loop
 
 mp.mp.dps = 60
 

@@ -1,15 +1,12 @@
 import hashlib
+import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indtrees.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    sample_gnp,
-)
+from indtrees.counting import cayley
+from indtrees.graphs import Graph, sample_gnp
 from indtrees.rng import Seed
 from indtrees.solver import (
     check_witness,
@@ -17,7 +14,7 @@ from indtrees.solver import (
     max_induced_tree,
     max_induced_tree_bruteforce,
 )
-from oracles import uniform_gnp
+from oracles import complete_graph, cycle_graph, path_graph, uniform_gnp
 
 
 def star(leaves: int) -> Graph:
@@ -42,6 +39,24 @@ def test_trivial_instances_branch_and_bound():
     assert max_induced_tree(path_graph(5)).size == 5
     assert max_induced_tree(star(7)).size == 8
     assert max_induced_tree(cycle_graph(6)).size == 5  # drop one cycle vertex
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_graph_on_at_most_five_vertices(n):
+    # every labelled graph on [n], one per subset of the C(n, 2) pairs
+    pairs = list(itertools.combinations(range(n), 2))
+    sizes = Counter()
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [pq for i, pq in enumerate(pairs) if mask >> i & 1])
+        res = max_induced_tree(g)
+        assert res.optimal and check_witness(g, res)
+        assert res.size == max_induced_tree_bruteforce(g).size
+        greedy = greedy_tree_lower_bound(g, 1, Seed(mask))
+        assert greedy.size <= res.size and check_witness(g, greedy)
+        sizes[res.size] += 1
+    assert sizes[n] == cayley(n)  # T = n exactly when g is a spanning tree
+    if n == 5:
+        assert sizes == {1: 1, 2: 51, 3: 285, 4: 562, 5: 125}
 
 
 def test_single_vertex_floor():
