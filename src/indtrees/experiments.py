@@ -118,7 +118,16 @@ class ExperimentConfig:
 
     def _validate(self) -> None:
         """validate(), one frame below validate or run_experiment, so that the
-        theta warning's stacklevel=3 names the line that called either."""
+        theta warning's stacklevel=3 names the line that called either. A
+        config built in Python gets the JSON loader's type rules first."""
+        for field in ("trials", "master_seed", "workers"):
+            _json_int(getattr(self, field), field)
+        for n in self.n_values:
+            _json_int(n, "n_values entry")
+        _json_int(self.solver.budget, "solver.budget")
+        _json_int(self.solver.restarts, "solver.restarts")
+        _json_number(self.delta, "delta")
+        _json_number(self.p_rule.value, "p_rule.value")
         if not math.isfinite(self.delta):
             raise ConfigError(f"delta must be finite, got {self.delta}")
         if self.trials < 1:

@@ -3,7 +3,6 @@ bitset adjacency rows built on first use, and G(n,p) sampling."""
 from __future__ import annotations
 
 import math
-import re
 from contextlib import nullcontext
 from typing import ContextManager, Iterable, Iterator, TextIO
 
@@ -16,7 +15,6 @@ _DRAW_BLOCK = 1 << 20  # gaps per rng.geometric call in the sampler
 _ROW_BLOCK = 1024  # adjacency rows staged per byte buffer
 _LOOP_EDGES = 128  # up to this many edges, a per-edge loop builds rows faster than numpy
 _READ_BYTES = 1 << 16  # bytes read_graph parses at a time, cut just after a line break
-_LINE_BREAK = re.compile(rb"\r\n?|\n")  # the line ends that text mode translates
 _SPACE = np.zeros(256, dtype=bool)  # the ASCII bytes str.split() splits on
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
@@ -228,8 +226,6 @@ def is_connected(g: Graph) -> bool:
 
 def is_tree(g: Graph) -> bool:
     """Connected and exactly n-1 edges; true for the 1-vertex graph, false for n=0."""
-    if g.n == 0:
-        return False
     return g.edge_count == g.n - 1 and is_connected(g)
 
 
@@ -303,8 +299,9 @@ def read_graph(path) -> Graph:
         data = fh.read()
     if not data.isascii():
         data.decode("ascii")  # raises UnicodeDecodeError naming the first bad byte
-    brk = _LINE_BREAK.search(data)
-    header_end, start = brk.span() if brk else (len(data), len(data))
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # text mode's translation
+    header_end = data.find(b"\n") if b"\n" in data else len(data)
+    start = header_end + 1
     header = data[:header_end].decode("ascii").split()
     if len(header) != 2:
         raise ValueError("malformed header, expected 'n m'")
@@ -335,9 +332,9 @@ def _block_end(data: bytes, start: int) -> int:
     cut = start + _READ_BYTES
     if cut >= len(data):
         return len(data)
-    last = max(data.rfind(b"\n", start, cut), data.rfind(b"\r", start, cut))
-    brk = _LINE_BREAK.match(data, last) if last >= 0 else _LINE_BREAK.search(data, cut)
-    return brk.end() if brk else len(data)
+    brk = data.rfind(b"\n", start, cut)
+    brk = brk if brk >= 0 else data.find(b"\n", cut)
+    return brk + 1 if brk >= 0 else len(data)
 
 
 def _parse_block(b: np.ndarray, line: int) -> tuple[np.ndarray, int]:
@@ -346,16 +343,13 @@ def _parse_block(b: np.ndarray, line: int) -> tuple[np.ndarray, int]:
     line must hold 0 or 2 tokens."""
     bounds = np.flatnonzero(np.diff(_SPACE[b], prepend=True, append=True))
     starts, stops = bounds[::2], bounds[1::2]
-    # line ends: every LF and CR except the CR of a CRLF; a block never splits a CRLF
-    ends = np.flatnonzero((b == 10) | (b == 13))
-    ends = ends[(b[ends] == 10) | (b[np.minimum(ends + 1, len(b) - 1)] != 10)]
+    ends = np.flatnonzero(b == 10)
     firsts = np.concatenate(([0], ends + 1))  # first byte of each line
     per_line = np.diff(np.searchsorted(starts, firsts), append=len(starts))
     bad = np.flatnonzero((per_line != 0) & (per_line != 2))
     if bad.size:
         i = bad[0]
         text = b[firsts[i] : ends[i] if i < len(ends) else len(b)].tobytes().decode("ascii")
-        text = text.removesuffix("\r")  # the CR of a CRLF
         raise ValueError(f"line {line + i}: expected 'u v', got {text!r}")
     # Horner's rule over the all-digit tokens of up to 18 bytes, which fit
     # in int64; every other token goes through int()

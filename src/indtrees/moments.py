@@ -173,7 +173,7 @@ def solve_k_hat(n: int, p: float) -> float:
     _check_n(n)
     ks = k_star(n, p)
     if ks <= 2:
-        raise BracketError(f"k_star = {ks:.3f} <= 2 at n={n}, p={p}")
+        raise BracketError(f"k_star = {ks:.4g} <= 2 at n={n}, p={p}")
     g_ks = gamma(n, p, ks)
     if g_ks >= 0:
         rounding = _gamma_rounding(n, p, ks)
@@ -193,7 +193,7 @@ def solve_k_hat(n: int, p: float) -> float:
     lo = min(k_max + 1, ks - 1e-12)
     hi = ks
     if gamma(n, p, lo) <= 0:
-        raise BracketError(f"gamma({lo:.3f}) <= 0; no positive bracket end at n={n}, p={p}")
+        raise BracketError(f"gamma({lo:.4g}) <= 0; no positive bracket end at n={n}, p={p}")
     lo, hi = _bisect(lambda k: gamma(n, p, k), lo, hi, KHAT_TOL)
     root = min((lo, hi), key=lambda k: abs(gamma(n, p, k)))
     g_root = gamma(n, p, root)
@@ -510,17 +510,19 @@ class _OverlapTerms:
     def _f1_max(self, ell: int, log_ps: float) -> float:
         """max over 0 <= r < ell of f1(r) = f0(k, r) + (k - r) ln(ps / (1 - p)).
 
-        A numpy screen evaluates f1 at every r: the low and middle branches of
-        f0 exactly as _f1 does, the top branch with np.log. np.log differs from
+        A numpy screen evaluates f1 at every r. Below top it only multiplies
+        and adds exact integers and Python float constants, so those values
+        are f1 to the bit. The top branch uses np.log, which differs from
         math.log by a few ulps, so each screened value is within about 1e-15
         of S(r) = f0(r) + (k - r) |ln(ps / (1 - p))| of f1(r), far inside
         delta / 2 with delta = 1e-9 (max f0 + k |ln(ps / (1 - p))|) >= 1e-9
-        max_r S(r). Let M be the screen's maximum, at r_M. The argmax r* of f1
-        screens above f1(r*) - delta / 2 >= f1(r_M) - delta / 2 >= M - delta,
-        so it is among the candidates, the r that screen at or above M - delta,
-        and the largest _f1 over the candidates is the full scan's maximum, to
-        the bit. A flat row only makes more candidates. r is a float array:
-        its values are exact integers.
+        max_r S(r). Let M be the screen's maximum, at r_M. The argmax r* of
+        f1 screens above f1(r*) - delta / 2 >= f1(r_M) - delta / 2 >=
+        M - delta, so it is among the candidates, the r that screen at or
+        above M - delta. Only the candidates at r >= top are re-evaluated,
+        with math.log, and the largest candidate value is the full scan's
+        maximum, to the bit. A flat row only makes more candidates. r is a
+        float array: its values are exact integers.
         """
         k = self.k
         r = np.arange(float(ell))
@@ -534,17 +536,10 @@ class _OverlapTerms:
         screen = f0 + k_r * log_ps
         delta = 1e-9 * (f0.max() + k * abs(log_ps))
         near = np.flatnonzero(screen >= screen.max() - delta).tolist()
-        return max(self._f1(ell, r, log_ps, mid, top) for r in near)
-
-    def _f1(self, ell: int, r: int, log_ps: float, mid: int, top: int) -> float:
-        k = self.k
-        if r >= top:
-            f0 = (k - r) * log(ell / (ell - r))
-        elif r >= mid:
-            f0 = k * log(4 / 3) + r * log(9 / 8)
-        else:
-            f0 = r * log(2)
-        return f0 + (k - r) * log_ps
+        return max(
+            (k - j) * log(ell / (ell - j)) + (k - j) * log_ps if j >= top else screen.item(j)
+            for j in near
+        )
 
 
 def _part_ranges(p: float, k: int, sparse: bool, pts: PartitionPoints):

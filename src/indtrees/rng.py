@@ -21,9 +21,9 @@ class Seed:
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.master < _U64):
+        if type(self.master) is not int or not (0 <= self.master < _U64):
             raise ValueError("master seed must be an unsigned 64-bit integer")
-        if not (0 <= self.stream < _U64):
+        if type(self.stream) is not int or not (0 <= self.stream < _U64):
             raise ValueError("stream index must be an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:

@@ -28,13 +28,10 @@ def max_induced_tree_bruteforce(g: Graph) -> SolveResult:
     n = g.n
     if n > 20:
         raise ValueError(f"brute force limited to n <= 20, got {n}")
-    if n == 0:
-        return SolveResult(0, 0, 0, True)
     adj = g.adj
     # edges[S] built from S minus its lowest bit; <= C(20, 2) = 190, so a byte holds it
     edges = bytearray(1 << n)
-    best_size = 1
-    best_mask = 1
+    best_size = best_mask = min(n, 1)  # vertex 0 alone, or the empty tree at n = 0
     for s in range(1, 1 << n):
         low = s & -s
         rest = s ^ low
@@ -69,12 +66,8 @@ def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = g.n
-    if n == 0:
-        return SolveResult(0, 0, 0, True)
     adj = g.adj
-
-    best_size = 1
-    best_mask = 1
+    best_size = best_mask = min(n, 1)  # vertex 0 alone, or the empty tree at n = 0
     nodes = 0
     for root in range(n):
         if n - root <= best_size:

@@ -315,6 +315,12 @@ def test_moments_profile_no_bracket_exits_2(capsys):
     assert_one_line_error(err, "indtrees moments:", "k_star")
 
 
+def test_moments_profile_huge_negative_k_star_prints_short(capsys):
+    code, out, err = run_cli(capsys, "moments", "profile", "--n", "100000", "--p", "1e-300")
+    assert code == 2 and out == "" and len(err) < 120
+    assert_one_line_error(err, "indtrees moments:", "k_star = -1.357e+303")
+
+
 def test_moments_profile_beyond_float_resolution_exits_2(capsys):
     n = 10**107
     p = n ** -THETA_UPPER

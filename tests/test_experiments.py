@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from indtrees import experiments
@@ -81,6 +82,39 @@ def test_config_rejects_bad_solver_worker_and_seed_settings(overrides, message):
         small_config(**overrides).validate()
     with pytest.raises(ConfigError, match=message):
         run_experiment(small_config(**overrides, trials=1))
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"workers": 2.0}, "workers"),
+        ({"solver": SolverSpec("greedy", restarts=2.0)}, "solver.restarts"),
+        ({"solver": SolverSpec("exact", budget=10.0**6)}, "solver.budget"),
+        ({"n_values": (10.0,)}, "n_values entry"),
+        ({"n_values": (np.int64(10),)}, "n_values entry"),
+        ({"master_seed": np.uint64(3)}, "master_seed"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"delta": "0.5"}, "delta"),
+        ({"p_rule": PRule("constant", "0.4")}, "p_rule.value"),
+    ],
+)
+def test_config_built_in_python_gets_the_json_type_rules(overrides, field, monkeypatch):
+    def no_trial(args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(experiments, "_run_trial", no_trial)
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        small_config(**overrides).validate()
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        run_experiment(small_config(**overrides))
+
+
+@pytest.mark.parametrize("master, stream", [(1.5, 0), (True, 0), (np.uint64(3), 0), (3, 2.0)])
+def test_seed_rejects_a_master_or_stream_that_is_not_an_int(master, stream):
+    with pytest.raises(ValueError, match="must be an unsigned 64-bit integer"):
+        Seed(master, stream)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -503,13 +503,14 @@ def test_read_graph_names_the_bad_line_past_the_first_block(tmp_path):
         read_graph(path)
 
 
-def test_read_graph_names_the_bad_line_past_the_first_byte_block(tmp_path):
+@pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_read_graph_names_the_bad_line_past_the_first_byte_block(tmp_path, eol):
     lines = [f"{i} {i + 1}" for i in range(12000)]
     lines[9000] = "9000 9001 7"
-    text = "12001 12000\n" + "\n".join(lines) + "\n"
+    text = f"12001 12000{eol}" + eol.join(lines) + eol
     assert text.index("9000 9001 7") > graphs._READ_BYTES
     path = tmp_path / "g.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("ascii"))
     with pytest.raises(ValueError, match="line 9002: expected 'u v', got '9000 9001 7'"):
         read_graph(path)
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indtrees.counting import cayley
-from indtrees.graphs import Graph, sample_gnp
+from indtrees.graphs import Graph, is_tree, sample_gnp
 from indtrees.rng import Seed
 from indtrees.solver import (
+    SolveResult,
     check_witness,
     greedy_tree_lower_bound,
     max_induced_tree,
@@ -71,6 +72,12 @@ def test_empty_graph():
     assert res.size == 0 and res.optimal
     res = max_induced_tree_bruteforce(Graph(0))
     assert res.size == 0 and res.optimal
+
+
+def test_empty_graph_gives_the_whole_empty_result():
+    g = Graph(0)
+    assert max_induced_tree(g) == max_induced_tree_bruteforce(g) == SolveResult(0, 0, 0, True)
+    assert not is_tree(g) and not check_witness(g, max_induced_tree(g))
 
 
 def test_bruteforce_refuses_large_n():
