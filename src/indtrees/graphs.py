@@ -2,18 +2,21 @@
 bitset adjacency rows built on first use, and G(n,p) sampling."""
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from contextlib import nullcontext
 from typing import ContextManager, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .rng import Seed
+from .rng import Seed, reset_generator
 
 MAX_N = 65_536  # bitset width ceiling
 _DRAW_BLOCK = 1 << 20  # gaps per rng.geometric call in the sampler
 _ROW_BLOCK = 1024  # adjacency rows staged per byte buffer
 _LOOP_EDGES = 128  # up to this many edges, a per-edge loop builds rows faster than numpy
+_PAIR_TABLE_N = 32  # up to this n, the loop skips _pair_endpoints' numpy fixed cost
 _READ_BYTES = 1 << 16  # bytes read_graph parses at a time, cut just after a line break
 _SPACE = np.zeros(256, dtype=bool)  # the ASCII bytes str.split() splits on
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
@@ -84,17 +87,24 @@ class Graph:
 def _adjacency_rows(n: int, idx: np.ndarray) -> tuple[int, ...]:
     """Neighbour bitmasks of the graph on [n] with pair indices idx.
 
-    Up to _LOOP_EDGES edges, a per-edge loop sets the bits. Beyond that, each
-    block of _ROW_BLOCK rows is ORed into a little-endian byte buffer and
-    converted row by row, so the n x n/8 bit matrix is never staged at once.
+    Up to _LOOP_EDGES edges, a per-edge loop sets the bits, reading the
+    endpoints from _pair_table up to _PAIR_TABLE_N vertices. Beyond that,
+    each block of _ROW_BLOCK rows is ORed into a little-endian byte buffer
+    and converted row by row, so the n x n/8 bit matrix is never staged at
+    once.
     """
-    us, vs = _pair_endpoints(n, idx)
     if len(idx) <= _LOOP_EDGES:
+        if n <= _PAIR_TABLE_N:
+            edges = map(_pair_table(n).__getitem__, idx.tolist())
+        else:
+            us, vs = _pair_endpoints(n, idx)
+            edges = zip(us.tolist(), vs.tolist())
         adj = [0] * n
-        for u, v in zip(us.tolist(), vs.tolist()):
+        for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return tuple(adj)
+    us, vs = _pair_endpoints(n, idx)
     width = (n + 7) // 8
     src = np.concatenate((us, vs)).astype(np.int32)
     dst = np.concatenate((vs, us)).astype(np.int32)
@@ -116,6 +126,13 @@ def _adjacency_rows(n: int, idx: np.ndarray) -> tuple[int, ...]:
             int.from_bytes(raw[o:o + width], "little") for o in range(0, len(raw), width)
         ]
     return tuple(rows)
+
+
+@functools.cache
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (u, v), u < v, of [n] in lexicographic order, so that entry
+    i holds the endpoints of pair index i; n <= _PAIR_TABLE_N."""
+    return tuple(itertools.combinations(range(n), 2))
 
 
 def _pair_index_bounds(n: int) -> np.ndarray:
@@ -145,12 +162,13 @@ def _sample_pair_index(n: int, p: float, seed: Seed) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if p == 1.0:
         return np.arange(m, dtype=np.int64)
-    rng = seed.generator()
+    rng = reset_generator(seed)
     # Each rng.geometric draw is the step from one edge to the next (the gap
     # plus one). Clipping at m + 1 keeps the cumulative sum in int64 (a tiny
     # p draws INT64_MAX) and still steps past the last pair. Blocks read the
-    # stream in order and the draws past the last edge are discarded with
-    # the local generator, so the graph does not depend on _DRAW_BLOCK.
+    # stream in order and the draws past the last edge are never read (the
+    # next call resets the generator), so the graph does not depend on
+    # _DRAW_BLOCK.
     hits = []
     last = -1
     while True:

@@ -404,9 +404,14 @@ class _OverlapTerms:
             big = ok & ~small
             j, m, lg_j = (n - m)[big], m[big], lg_lo[big]
         else:
-            # j <= k is far below n / 2: no swap, and m = n - j >= STIRLING_MIN_M
+            # j <= k is far below n / 2: no swap, and m = n - j >= STIRLING_MIN_M.
+            # float(n - j) falls with j, so when the block's two ends round to
+            # the same float, so does every entry between them.
             big = slice(None)
-            m = np.fromiter(map(float, map(n.__sub__, j.tolist())), float, j.size)
+            if j.size and (top := float(n - int(j.min()))) == float(n - int(j.max())):
+                m = np.full(j.size, top)
+            else:
+                m = np.fromiter(map(float, map(n.__sub__, j.tolist())), float, j.size)
         if j.size:
             a, b = 1.0 / n, 1.0 / m
             out[big] = (

@@ -59,9 +59,13 @@ def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     The addable vertices are `pool & once`, and `size + |pool|` bounds every
     tree below the node, so a node costs a few bitset operations and no scan
     of the vertices. The search branches on the lowest addable vertex,
-    include first, then exclude. Each tree is counted once, rooted at its
-    minimum-index vertex. Budget counts branch expansions; exhaustion returns
-    the incumbent with optimal=False.
+    include first, then exclude. The include child is followed in place. The
+    exclude child is stacked only when it keeps an addable vertex and its
+    bound still beats the incumbent; it has the parent's tree, so it never
+    improves the incumbent itself, and since the incumbent only grows, a
+    child that fails the bound now would fail it when popped. Each tree is
+    counted once, rooted at its minimum-index vertex. Budget counts branch
+    expansions; exhaustion returns the incumbent with optimal=False.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -76,21 +80,26 @@ def max_induced_tree(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
         stack = [(1 << root, pool, adj[root], 1)]
         while stack:
             tree, pool, once, size = stack.pop()
-            if size > best_size:
-                best_size = size
-                best_mask = tree
-            frontier = pool & once
-            if not frontier or size + pool.bit_count() <= best_size:
-                continue
-            nodes += 1
-            if nodes >= budget:
-                return SolveResult(best_size, best_mask, nodes, False)
-            v = frontier & -frontier
-            a = adj[v.bit_length() - 1]
-            pool &= ~v
-            # LIFO: the include branch is explored before the exclude branch
-            stack.append((tree, pool, once, size))
-            stack.append((tree | v, pool & ~(once & a), once | a, size + 1))
+            while True:  # down the include children, to a leaf or a pruned node
+                frontier = pool & once
+                room = size + pool.bit_count()
+                if not frontier or room <= best_size:
+                    break
+                nodes += 1
+                if nodes >= budget:
+                    return SolveResult(best_size, best_mask, nodes, False)
+                v = frontier & -frontier
+                a = adj[v.bit_length() - 1]
+                pool ^= v
+                if frontier != v and room - 1 > best_size:  # the exclude child
+                    stack.append((tree, pool, once, size))
+                tree |= v
+                pool &= ~(once & a)
+                once |= a
+                size += 1
+                if size > best_size:
+                    best_size = size
+                    best_mask = tree
     return SolveResult(best_size, best_mask, nodes, True)
 
 

@@ -30,6 +30,7 @@ from indtrees.moments import (
     partition_points,
 )
 from indtrees.rng import Seed
+from indtrees.solver import DEFAULT_BUDGET, SolveResult
 
 
 def monte_carlo_tree_count(
@@ -468,3 +469,39 @@ def read_graph_lines(path) -> Graph:
     if idx.size != m:
         raise ValueError(f"header claims {m} edges, found {idx.size}")
     return Graph._from_pair_index(n, idx)
+
+
+def max_induced_tree_reference(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """solver.max_induced_tree's node loop as it stood before the include
+    child was followed in place: every child is pushed, and the incumbent and
+    the bound are checked when it is popped. The fast loop must return the
+    same SolveResult (size, witness, nodes, optimal) at every budget."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    n = g.n
+    adj = g.adj
+    best_size = best_mask = min(n, 1)  # vertex 0 alone, or the empty tree at n = 0
+    nodes = 0
+    for root in range(n):
+        if n - root <= best_size:
+            break
+        pool = ((1 << n) - 1) >> (root + 1) << (root + 1)  # above the root
+        stack = [(1 << root, pool, adj[root], 1)]
+        while stack:
+            tree, pool, once, size = stack.pop()
+            if size > best_size:
+                best_size = size
+                best_mask = tree
+            frontier = pool & once
+            if not frontier or size + pool.bit_count() <= best_size:
+                continue
+            nodes += 1
+            if nodes >= budget:
+                return SolveResult(best_size, best_mask, nodes, False)
+            v = frontier & -frontier
+            a = adj[v.bit_length() - 1]
+            pool &= ~v
+            # LIFO: the include branch is explored before the exclude branch
+            stack.append((tree, pool, once, size))
+            stack.append((tree | v, pool & ~(once & a), once | a, size + 1))
+    return SolveResult(best_size, best_mask, nodes, True)

@@ -5,14 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from indtrees import experiments
 from indtrees.experiments import (
+    CSV_FIELDS,
+    BatchSummary,
     ConfigError,
+    ExperimentResult,
     ExperimentConfig,
     PRule,
     SolverSpec,
     TrialRecord,
+    _export_row,
     _summarize,
     export_csv,
     export_json,
@@ -399,6 +404,50 @@ def test_csv_round_trip(tmp_path):
     assert len(path.read_text().splitlines()) == 4
     back = import_csv(path)
     assert back == recs
+
+
+EDGE_PS = (1e-05, 5e-324, 0.1 + 0.2, 1 / 3)
+
+records = st.builds(
+    TrialRecord,
+    n=st.integers(0, 2**16),
+    # the non-finite p take json's NaN and Infinity spellings
+    p=st.sampled_from(EDGE_PS + (math.inf, math.nan)) | st.floats(0, 1),
+    stream=st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1),
+    size=st.integers(0, 2**16),
+    optimal=st.booleans(),
+    nodes=st.integers(0, 10**12),
+    millis=st.floats(0, 1e6),
+)
+summaries = st.builds(
+    BatchSummary,
+    n=st.integers(1, 2**16),
+    p=st.sampled_from(EDGE_PS) | st.floats(0, 1),
+    histogram=st.dictionaries(st.integers(0, 200), st.integers(1, 10**6), max_size=12),
+    lower_bound_only=st.integers(0, 10**6),
+    window=st.none() | st.integers(0, 200).map(lambda g: (g, g + 1)),
+    window_mass=st.floats(0, 1),
+    near_tie=st.booleans(),
+    k_hat=st.none() | st.floats(0, 1e6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(records, max_size=6).map(tuple), st.lists(summaries, max_size=3).map(tuple))
+@example((), ())
+@example(
+    tuple(TrialRecord(16, p, 2**64 - 1, 7, False, 123, 0.5) for p in EDGE_PS),
+    (BatchSummary(16, 0.45, {6: 1, 10: 2}, 4, None, 0.0, False, None),),
+)
+def test_export_json_equals_the_json_encoder(recs, sums):
+    result = ExperimentResult(recs, sums)
+    payload = {
+        "records": [dict(zip(CSV_FIELDS, _export_row(r))) for r in result.records],
+        "summary": [s.to_dict() for s in result.summaries],
+    }
+    buf = io.StringIO()
+    export_json(result, buf)
+    assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_canonical_export_byte_identical(tmp_path):

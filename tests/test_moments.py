@@ -478,6 +478,27 @@ def test_variance_bound_matches_loop_on_small_cells(cell):
     assert_matches_loop(*cell)
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # theta = 0.1, where parts 2-4 call log_binom(n - k, s) past 2^62 and
+        # every block of s rounds n - k - s to one float. The loop takes about
+        # 7 s at 1e40, the cell where the per-element conversion was slow, so
+        # the test takes theta = 0.1 at 1e24.
+        (10**24, (10**24) ** -0.1, 25439),
+        # dense: the product part reads log_binom(n - k, s), and n - k - s
+        # crosses 2^62 from 2^62 + 300, where the float spacing halves, so
+        # one block spans several floats
+        (2**62 + 3300, 0.3, 3000),
+    ],
+    ids=["theta0.1-1e24", "straddles-2^62"],
+)
+def test_variance_bound_matches_loop_past_int64_exact(cell):
+    n, p, k = cell
+    assert n - k >= moments._INT64_EXACT
+    assert_matches_loop(*cell)
+
+
 def test_variance_bound_k2_has_no_entries():
     vb = assert_matches_loop(100, 0.01, 2)
     assert vb.entries.size == 0 and tuple(vb.rows()) == ()

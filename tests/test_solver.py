@@ -15,7 +15,13 @@ from indtrees.solver import (
     max_induced_tree,
     max_induced_tree_bruteforce,
 )
-from oracles import complete_graph, cycle_graph, path_graph, uniform_gnp
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    max_induced_tree_reference,
+    path_graph,
+    uniform_gnp,
+)
 
 
 def star(leaves: int) -> Graph:
@@ -111,6 +117,25 @@ def test_agrees_with_bruteforce_property(n, p, s):
     b = max_induced_tree_bruteforce(g)
     assert a.size == b.size
     assert check_witness(g, a) and check_witness(g, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=22),
+    st.floats(min_value=0.1, max_value=0.7),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_search_matches_the_reference_loop_at_every_budget(n, p, s, budget):
+    # the whole SolveResult: size, witness, nodes and optimal, at budgets
+    # that cut the search at its first nodes, somewhere, at its last node
+    # and just past it
+    g = sample_gnp(n, p, Seed(s))
+    full = max_induced_tree_reference(g)
+    assert max_induced_tree(g) == full
+    for b in (1, 2, budget, full.nodes_explored, full.nodes_explored + 1):
+        if b >= 1:
+            assert max_induced_tree(g, b) == max_induced_tree_reference(g, b)
 
 
 def test_budget_exhaustion_is_lower_bound():
