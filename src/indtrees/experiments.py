@@ -33,21 +33,21 @@ class ConfigError(ValueError):
     pass
 
 
-def _json_int(value, field: str) -> int:
-    """value if it is a JSON integer (not a bool, float or string), else a
-    ConfigError naming the field: int() would truncate 2.9 or parse "16"."""
+def _json_int(value, field: str) -> None:
+    """A ConfigError naming the field unless value is a JSON integer (not a
+    bool, float or string): int() would truncate 2.9 or parse "16"."""
     if type(value) is not int:
         raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return value
 
 
-def _json_number(value, field: str) -> float:
-    """value as a float if it is a JSON number (not a bool or string), else a
-    ConfigError naming the field: float() would parse "0.5" and take True as 1."""
+def _json_number(value, field: str) -> None:
+    """A ConfigError naming the field unless value is a JSON number (not a bool
+    or string) that converts to a float: float() would parse "0.5" and take
+    True as 1."""
     if type(value) not in (int, float):
         raise ConfigError(f"{field} must be a number, got {value!r}")
     try:
-        return float(value)
+        float(value)
     except OverflowError:  # an integer past the float range
         raise ConfigError(f"{field} is too large for a float") from None
 
@@ -67,14 +67,6 @@ def _json_object(
         if key not in required and key not in optional:
             raise ConfigError(f"unknown key {key!r} in {field}")
     return value
-
-
-def _given(d: dict, key: str, parse=None, field: str = "") -> dict:
-    """{key: d[key]}, parsed by parse(value, field or key), or {} if d has no
-    key, so that the dataclass field's own default applies."""
-    if key not in d:
-        return {}
-    return {key: parse(d[key], field or key) if parse else d[key]}
 
 
 @dataclass(frozen=True)
@@ -116,10 +108,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         self._validate()
 
-    def _validate(self) -> None:
-        """validate(), one frame below validate or run_experiment, so that the
-        theta warning's stacklevel=3 names the line that called either. A
-        config built in Python gets the JSON loader's type rules first."""
+    def _check_types(self) -> None:
+        """The JSON type rules, applied here alone: from_dict checks the raw
+        JSON values with them, and _validate a config built in Python."""
         for field in ("trials", "master_seed", "workers"):
             _json_int(getattr(self, field), field)
         for n in self.n_values:
@@ -128,6 +119,11 @@ class ExperimentConfig:
         _json_int(self.solver.restarts, "solver.restarts")
         _json_number(self.delta, "delta")
         _json_number(self.p_rule.value, "p_rule.value")
+
+    def _validate(self) -> None:
+        """validate(), one frame below validate or run_experiment, so that the
+        theta warning's stacklevel=3 names the line that called either."""
+        self._check_types()
         if not math.isfinite(self.delta):
             raise ConfigError(f"delta must be finite, got {self.delta}")
         if self.trials < 1:
@@ -171,19 +167,16 @@ class ExperimentConfig:
         if type(d["n_values"]) is not list:
             raise ConfigError(f"n_values must be a list, got {d['n_values']!r}")
         # a key left out is not passed: the dataclasses own every default
-        return ExperimentConfig(
-            n_values=tuple(_json_int(n, "n_values entry") for n in d["n_values"]),
-            p_rule=PRule(rule["kind"], _json_number(rule["value"], "p_rule.value")),
-            trials=_json_int(d["trials"], "trials"),
-            **_given(d, "delta", _json_number),
-            solver=SolverSpec(
-                **_given(solver, "kind"),
-                **_given(solver, "budget", _json_int, "solver.budget"),
-                **_given(solver, "restarts", _json_int, "solver.restarts"),
-            ),
-            master_seed=_json_int(d["master_seed"], "master_seed"),
-            **_given(d, "workers", _json_int),
+        cfg = ExperimentConfig(
+            n_values=tuple(d["n_values"]),
+            p_rule=PRule(**rule),
+            solver=SolverSpec(**solver),
+            **{k: d[k] for k in ("trials", "master_seed", "delta", "workers") if k in d},
         )
+        cfg._check_types()
+        # a JSON integer in a float field loads as a float
+        rule = replace(cfg.p_rule, value=float(cfg.p_rule.value))
+        return replace(cfg, delta=float(cfg.delta), p_rule=rule)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":

@@ -303,6 +303,22 @@ def test_solve_reads_a_pipe(capsys, tmp_path):
     assert solve.stdout == file_out
 
 
+def test_a_reader_that_closes_the_pipe_early_is_not_an_error():
+    # moments varbound | head -n 1: 227,598 bytes of rows overflow the 64 KiB
+    # pipe buffer, so the writer meets the closed pipe before it finishes
+    env = dict(os.environ, PYTHONPATH=str(Path(indtrees.__file__).parents[1]))
+    varbound = subprocess.Popen(
+        [sys.executable, "-m", "indtrees.cli", "moments", "varbound",
+         "--n", "100000000000000000000", "--p", "0.012"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert varbound.stdout.readline() == b"part,ell,log_summand\n"
+    varbound.stdout.close()
+    assert varbound.wait(timeout=120) == 0
+    assert varbound.stderr.read() == b""
+    varbound.stderr.close()
+
+
 def test_sample_bad_p_exits_2(capsys):
     code, out, err = run_cli(capsys, "sample", "--n", "10", "--p", "1.5", "--seed", "1")
     assert code == 2 and out == ""

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import pytest
 
@@ -380,3 +381,42 @@ def test_bound_row_shapes():
     for row in report.rows:
         assert row.n_matching <= row.n_total <= row.bound_square
         assert len(row.product_bound_checks) == 3
+
+
+# --- input checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: cayley(0), "k must be positive", id="cayley"),
+        pytest.param(
+            lambda: next(enumerate_labeled_trees(10)), "k must be in [1, 9], got 10",
+            id="enumerate_labeled_trees",
+        ),
+        pytest.param(
+            lambda: count_forests_enumerated(3, 3), "need 0 <= r <= l-1, got l=3, r=3",
+            id="count_forests_enumerated",
+        ),
+        pytest.param(
+            lambda: rooted_forest_count_closed_form(3, 0), "need 1 <= m <= n",
+            id="rooted_forest_count_closed_form",
+        ),
+        pytest.param(
+            lambda: count_overlap_pairs(3, 1), "need 2 <= l <= k, got k=3, l=1",
+            id="count_overlap_pairs",
+        ),
+        pytest.param(
+            lambda: count_trees_extending_forest(4, [(0, 3)], 3),
+            "forest edge (0,3) outside [0, 3)",
+            id="count_trees_extending_forest",
+        ),
+        pytest.param(
+            lambda: validate_overlap_bounds(8, 2), "need 2 <= l <= k <= 7, got k=8, l=2",
+            id="validate_overlap_bounds",
+        ),
+    ],
+)
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

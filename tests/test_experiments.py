@@ -137,6 +137,14 @@ def test_config_rejects_repeated_n():
             run_experiment(small_config(n_values=repeated, trials=3))
 
 
+@pytest.mark.parametrize("n_values, n", [((0,), 0), ((10, -3), -3)])
+def test_config_rejects_a_non_positive_n(n_values, n):
+    with pytest.raises(ConfigError, match=f"^n must be positive, got {n}$"):
+        small_config(n_values=n_values).validate()
+    with pytest.raises(ConfigError, match=f"^n must be positive, got {n}$"):
+        run_experiment(small_config(n_values=n_values, trials=1))
+
+
 def test_config_warns_outside_theorem_range():
     with pytest.warns(UserWarning):
         small_config(p_rule=PRule("power", 0.5), n_values=(100,)).validate()
@@ -382,6 +390,14 @@ def test_report_best_pair():
     assert rep.best_pair == (6, 7)
     assert rep.best_pair_mass == pytest.approx(16 / 20)
     assert rep.markov_tail  # E X_k lines for sizes above the histogram
+
+
+def test_report_without_optimal_trials_has_no_best_pair():
+    rep = _summarize(10, 0.4, [_record(10, 0.4, i, 6, optimal=False) for i in range(3)], 0.5)
+    assert rep.histogram == {} and rep.lower_bound_only == 3
+    assert rep.best_pair is None
+    assert rep.best_pair_mass == 0.0
+    assert "best consecutive pair" not in rep.to_text()
 
 
 # --- persistence -------------------------------------------------------------

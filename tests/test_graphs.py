@@ -415,6 +415,18 @@ def test_induced_subgraph_relabels_increasing():
     assert list(sub.edges()) == [(1, 2)]
 
 
+@pytest.mark.parametrize("vertices", [[3], [0, 3], [-1, 1]])
+def test_induced_subgraph_rejects_a_vertex_outside_the_graph(vertices):
+    with pytest.raises(ValueError, match="^vertex set member out of range$"):
+        induced_subgraph(path_graph(3), vertices)
+
+
+@pytest.mark.parametrize("other", ["x", None, 3, (3, [])])
+def test_graph_is_not_equal_to_another_type(other):
+    assert (Graph(3) == other) is False
+    assert Graph(3) != other
+
+
 def test_recognizer_edge_cases():
     empty = Graph(0)
     assert not is_tree(empty)

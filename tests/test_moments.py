@@ -127,6 +127,12 @@ def test_gamma_against_bigfloat():
         )
 
 
+@pytest.mark.parametrize("k", [1.0, 0.5, -3.0])
+def test_gamma_rejects_k_at_most_1(k):
+    with pytest.raises(ValueError, match=rf"^gamma requires k > 1, got {k}$"):
+        gamma(100, 0.1, k)
+
+
 def test_gamma_derivative_is_derivative():
     n, p = 10**6, 0.01
     for k in (100.0, 500.0, 900.0):
