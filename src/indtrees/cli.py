@@ -27,7 +27,6 @@ from .experiments import (
 from .graphs import mask_vertices, read_graph, sample_gnp, write_graph
 from .moments import (
     DEFAULT_DELTA,
-    DEFAULT_W_EXPONENT,
     compute_profile,
     solve_k_hat,
     target_k,
@@ -152,7 +151,7 @@ def _cmd_moments_varbound(args) -> int:
     k = args.k
     if k is None:
         k = target_k(solve_k_hat(args.n, args.p))
-    vb = variance_ratio_bound(args.n, args.p, k, args.w_exponent)
+    vb = variance_ratio_bound(args.n, args.p, k)
     print("part,ell,log_summand")
     for part, ell, v in vb.rows():
         print(f"{part},{ell},{v!r}")
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = msub.add_parser("varbound", help="variance-ratio partition bounds")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--w-exponent", type=float, default=DEFAULT_W_EXPONENT)
     sp.add_argument(
         "--k", type=int, default=None,
         help=f"tree size; default floor(k_hat - 1 + {DEFAULT_DELTA}), as in profile",
@@ -258,6 +256,10 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, json.JSONDecodeError) as exc:  # a config that is not valid JSON
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation the OS refused: the input is too large
+        msg = str(exc) or "allocation refused"
+        print(f"indtrees {args.command}: out of memory: {msg}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"indtrees {args.command}: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ from .logreal import LogReal, log_sum_exp
 KHAT_TOL = 1e-9
 STIRLING_MIN_M = 1000  # below it, lgamma differences are exact to ~1e-13 relative
 NEAR_TIE_EPS = 1e-6
-DEFAULT_W_EXPONENT = 0.25
 DEFAULT_DELTA = 0.5
 THETA_UPPER = (math.e - 2) / (3 * math.e - 2)  # the theorem's p = n^-theta has 0 < theta < this
 
@@ -35,14 +34,6 @@ def _check_n(n: int) -> None:
     # the formulas take logs of n, n*p and ln n, so n must be >= 2 and a float
     if not (2 <= n <= sys.float_info.max):
         raise ValueError(f"n must be in [2, {sys.float_info.max:.4g}], got {n}")
-
-
-def _w(n: int, w_exponent: float) -> float:
-    """w = (ln n)^w_exponent; part 2 of the sparse split ends at k - w/p."""
-    try:
-        return log(n) ** w_exponent
-    except OverflowError:
-        raise ValueError(f"w = (ln n)^{w_exponent} overflows at n={n}") from None
 
 
 def log_binom(n: float, k: float) -> float:
@@ -233,11 +224,10 @@ class PartitionPoints:
     ordered: bool  # 2 <= ell_star <= k - w/p <= k - 1/(2p) <= k - 1
 
 
-def partition_points(n: int, p: float, k: float, w: float) -> PartitionPoints:
+def partition_points(n: int, p: float, k: float) -> PartitionPoints:
     """Boundaries of the four-part split of overlap sizes, plus the dense-regime ones."""
     _check_p(p)
-    if not (0 < w < math.inf):
-        raise ValueError(f"w must be finite and positive, got {w}")
+    w = log(n) ** 0.25  # part 2 of the sparse split ends at k - w/p
     L = -log1p(-p)
     ell_star = (2 * log(n * p) - 2 * log(4 * e * k)) / L
     b2 = k - w / p
@@ -293,7 +283,7 @@ def compute_profile(n: int, p: float, delta: float = DEFAULT_DELTA) -> MomentPro
     root = solve_k_hat(n, p)
     thr = g_threshold(n, p, delta)
     k = target_k(root, delta)
-    pts = partition_points(n, p, k, _w(n, DEFAULT_W_EXPONENT))
+    pts = partition_points(n, p, k)
     ks = k_star(n, p)
     cf = k_hat_closed_form(n, p)
     return MomentProfile(
@@ -572,9 +562,7 @@ def _part_ranges(p: float, k: int, sparse: bool, pts: PartitionPoints):
     return ranges
 
 
-def variance_ratio_bound(
-    n: int, p: float, k: int, w_exponent: float = DEFAULT_W_EXPONENT
-) -> VarianceBound:
+def variance_ratio_bound(n: int, p: float, k: int) -> VarianceBound:
     """Per-overlap upper bounds on F_ell / (E X_k)^2 and their partial sums.
 
     Sparse regime (p < 1/(2 ln n)): the four-part split with the trivial,
@@ -588,7 +576,7 @@ def variance_ratio_bound(
     if not (2 <= k <= n):
         raise ValueError(f"need 2 <= k <= n, got k={k}")
     sparse = p < 1 / (2 * log(n))
-    pts = partition_points(n, p, k, _w(n, w_exponent))
+    pts = partition_points(n, p, k)
     ranges = _part_ranges(p, k, sparse, pts)
     terms = _OverlapTerms(n, p, k)
     entries = np.empty(k - 2)

@@ -23,7 +23,6 @@ from indtrees.graphs import (
     is_tree,
 )
 from indtrees.moments import (
-    DEFAULT_W_EXPONENT,
     _check_p,
     log_binom,
     log_expected_trees,
@@ -381,9 +380,7 @@ class LoopBound(NamedTuple):
     log_total: float
 
 
-def variance_ratio_bound_loop(
-    n: int, p: float, k: int, w_exponent: float = DEFAULT_W_EXPONENT
-) -> LoopBound:
+def variance_ratio_bound_loop(n: int, p: float, k: int) -> LoopBound:
     """Per-overlap upper bounds on F_ell / (E X_k)^2 and their partial sums,
     one scalar evaluation per ell: the loop that variance_ratio_bound's numpy
     evaluation must reproduce bit for bit.
@@ -398,9 +395,8 @@ def variance_ratio_bound_loop(
     if not (2 <= k <= n):
         raise ValueError(f"need 2 <= k <= n, got k={k}")
     sparse = p < 1 / (2 * log(n))
-    w = log(n) ** w_exponent
     log_cnk = log_binom(n, k)
-    pts = partition_points(n, p, k, w)
+    pts = partition_points(n, p, k)
     entries: list[tuple[str, int, float]] = []
 
     if sparse:

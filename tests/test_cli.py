@@ -325,6 +325,25 @@ def test_sample_bad_p_exits_2(capsys):
     assert_one_line_error(err, "indtrees sample:", "1.5")
 
 
+@pytest.mark.parametrize(
+    "message, shown",
+    [("Unable to allocate 16.0 GiB", "Unable to allocate 16.0 GiB"), ("", "allocation refused")],
+    ids=["numpy-message", "empty-message"],
+)
+def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path, message, shown):
+    # a stand-in for an allocation the OS refuses; a real one could succeed
+    # under overcommit and wake the OOM killer
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample_gnp", refuse)
+    path = tmp_path / "g.txt"
+    argv = ("sample", "--n", "65536", "--p", "1.0", "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and not path.exists()
+    assert_one_line_error(err, f"indtrees sample: out of memory: {shown}")
+
+
 def test_moments_profile_no_bracket_exits_2(capsys):
     code, out, err = run_cli(capsys, "moments", "profile", "--n", "100", "--p", ".001")
     assert code == 2 and out == ""
@@ -345,15 +364,10 @@ def test_moments_profile_beyond_float_resolution_exits_2(capsys):
     assert_one_line_error(err, "indtrees moments:", "beyond float64 resolution")
 
 
-CELL_1E8 = ("--n", "100000000", "--p", "0.01")
-
-
 @pytest.mark.parametrize(
     "argv, fragments",
     [
-        (("varbound", *CELL_1E8, "--w-exponent", "nan"), ("w must be finite", "nan")),
-        (("varbound", *CELL_1E8, "--w-exponent", "inf"), ("w must be finite", "inf")),
-        (("varbound", *CELL_1E8, "--w-exponent", "1000"), ("overflows", "1000")),
+        (("profile", "--n", "3680", "--p", "0.0001"), ("gamma(k_star) = 2.65 >= 0", "n=3680")),
         (("varbound", "--n", "0", "--p", "0.5", "--k", "2"), ("n must be in [2,", "got 0")),
         (("profile", "--n", "1" + "0" * 310, "--p", "0.01"), ("n must be in [2,", "0" * 310)),
         (("profile", "--n", "0", "--p", "0.01"), ("n must be in [2,", "got 0")),
@@ -361,7 +375,7 @@ CELL_1E8 = ("--n", "100000000", "--p", "0.01")
         (("profile", "--n", "100000", "--p", "0.02", "--delta", "nan"), ("delta must be finite", "nan")),
         (("profile", "--n", "100000", "--p", "0.02", "--delta", "inf"), ("delta must be finite", "inf")),
     ],
-    ids=["w-nan", "w-inf", "w-overflow", "varbound-n0", "n-1e310", "n0", "n1", "delta-nan", "delta-inf"],
+    ids=["gamma-k-star-positive", "varbound-n0", "n-1e310", "n0", "n1", "delta-nan", "delta-inf"],
 )
 def test_moments_bad_inputs_exit_2(capsys, argv, fragments):
     code, out, err = run_cli(capsys, "moments", *argv)

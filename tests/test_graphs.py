@@ -338,16 +338,26 @@ def test_sample_subnormal_p_on_skip_path():
             assert sample_gnp(5000, p, Seed(1)).edge_count == 0
 
 
-@pytest.mark.parametrize("count", [0, 1, graphs._LOOP_EDGES, graphs._LOOP_EDGES + 1, 3000])
-def test_rows_from_pair_index_match_constructor(count):
+@pytest.mark.parametrize(
+    "count, span",
+    [
+        pytest.param(c, None, id=str(c))
+        for c in (0, 1, graphs._LOOP_EDGES, graphs._LOOP_EDGES + 1, 3000)
+    ]
+    # every edge inside the middle row block: the first and last blocks are empty
+    + [pytest.param(300, (graphs._ROW_BLOCK, 2 * graphs._ROW_BLOCK), id="300-middle-block")],
+)
+def test_rows_from_pair_index_match_constructor(count, span):
     n = 2 * graphs._ROW_BLOCK + 5  # three row blocks, the last one short
-    m = n * (n - 1) // 2
-    idx = np.sort(np.random.default_rng(count).choice(m, size=count, replace=False))
     us, vs = np.triu_indices(n, 1)  # pairs in lexicographic order
+    lo, hi = span or (0, n)
+    pool = np.flatnonzero((us >= lo) & (vs < hi))
+    idx = np.sort(np.random.default_rng(count).choice(pool, size=count, replace=False))
     pairs = list(zip(us[idx].tolist(), vs[idx].tolist()))
     g = Graph._from_pair_index(n, idx)
     assert g.adj == adjacency_rows(n, pairs) and g.edge_count == count
     assert Graph(n, pairs) == g
+    assert repr(g) == f"Graph(n={n}, m={count})"
 
 
 @pytest.mark.parametrize("n, p, seed", [(2000, 0.01, Seed(41)), (6000, 0.003, Seed(42))])
