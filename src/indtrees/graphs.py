@@ -193,7 +193,15 @@ def sample_gnp(n: int, p: float, seed: Seed) -> Graph:
     if math.isnan(p) or not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
     check_vertex_count(n)
-    return Graph._from_pair_index(n, _sample_pair_index(n, p, seed))
+    try:
+        idx = _sample_pair_index(n, p, seed)
+    except MemoryError as exc:
+        edges = n * (n - 1) * p / 2
+        raise MemoryError(
+            f"G(n={n}, p={p}) expects n(n-1)p/2 = {edges:.0f} edges, "
+            f"an int64 pair index of {edges * 8 / 2**30:.1f} GiB"
+        ) from exc
+    return Graph._from_pair_index(n, idx)
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:

@@ -226,6 +226,7 @@ class PartitionPoints:
 
 def partition_points(n: int, p: float, k: float) -> PartitionPoints:
     """Boundaries of the four-part split of overlap sizes, plus the dense-regime ones."""
+    _check_n(n)
     _check_p(p)
     w = log(n) ** 0.25  # part 2 of the sparse split ends at k - w/p
     L = -log1p(-p)

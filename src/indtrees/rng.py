@@ -22,7 +22,10 @@ class Seed:
 
     generator() builds a new Generator that the caller owns. A caller that
     draws and drops its generator within one call (the G(n,p) sampler) takes
-    reset_generator(seed) instead: the same draws without a new Philox.
+    reset_generator(seed) instead: the same draws without a new Philox. The
+    greedy solver reads only the raw 64-bit Philox words of generator() and
+    turns their 32-bit halves, low half first, into bounded integers by
+    numpy's 32-bit rule, so its records depend only on Philox's raw output.
     """
 
     master: int

@@ -7,12 +7,15 @@ sizes past the exact range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph, induced_subgraph, is_connected_set, is_tree, mask_vertices
 from .rng import Seed
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_RESTARTS = 100
+_WORD_BLOCK = 256  # raw Philox words per random_raw call in the greedy; no record depends on it
+_LOW32 = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,29 @@ def _nth_bit(mask: int, r: int) -> int:
     return lo
 
 
+def _uint32_words(bitgen) -> Iterator[int]:
+    """bitgen's 32-bit outputs in its next_uint32 order: the raw 64-bit words
+    in blocks of _WORD_BLOCK, each split into its low half, then its high half."""
+    while True:
+        for w in bitgen.random_raw(_WORD_BLOCK).tolist():
+            yield w & _LOW32
+            yield w >> 32
+
+
+def _below(words: Iterator[int], k: int) -> int:
+    """A uniform integer in [0, k), 1 <= k <= 2^32, by numpy's 32-bit bounded
+    rule (Lemire, ACM TOMACS 29, 2019): on the same words it equals
+    Generator.integers(k). k = 1 takes no word."""
+    if k == 1:
+        return 0
+    m = next(words) * k
+    if m & _LOW32 < k:
+        threshold = (1 << 32) % k
+        while m & _LOW32 < threshold:
+            m = next(words) * k
+    return m >> 32
+
+
 def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
     """Randomized greedy extension with restarts; a valid lower bound, never optimal.
 
@@ -125,6 +151,11 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
     `max_induced_tree`: `pool` holds the vertices outside the tree and not in
     `twice`, so the addable ones are `pool & once`. The draw takes the r-th
     lowest of them, with r uniform below their count.
+
+    The root and every r come from `_below` on the 32-bit halves of the raw
+    words of seed's Philox stream, low half first. That is the rule and the
+    order of `seed.generator().integers(k)`, so the records equal the
+    per-step integers calls', and they depend only on Philox's raw words.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -132,11 +163,11 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
     if n == 0:
         return SolveResult(0, 0, 0, False)
     adj = g.adj
-    rng = seed.generator()
+    words = _uint32_words(seed.generator().bit_generator)
     best_size = 1
     best_mask = 1
     for _ in range(restarts):
-        root = int(rng.integers(n))
+        root = _below(words, n)
         tree = 1 << root
         size = 1
         once = adj[root]
@@ -145,7 +176,7 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
             frontier = pool & once
             if not frontier:
                 break
-            v = _nth_bit(frontier, int(rng.integers(frontier.bit_count())))
+            v = _nth_bit(frontier, _below(words, frontier.bit_count()))
             a = adj[v]
             pool &= ~((1 << v) | (once & a))
             once |= a

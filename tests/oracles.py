@@ -29,7 +29,7 @@ from indtrees.moments import (
     partition_points,
 )
 from indtrees.rng import Seed
-from indtrees.solver import DEFAULT_BUDGET, SolveResult
+from indtrees.solver import DEFAULT_BUDGET, SolveResult, _nth_bit
 
 
 def monte_carlo_tree_count(
@@ -501,3 +501,38 @@ def max_induced_tree_reference(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveR
             stack.append((tree, pool, once, size))
             stack.append((tree | v, pool & ~(once & a), once | a, size + 1))
     return SolveResult(best_size, best_mask, nodes, True)
+
+
+def greedy_reference(g: Graph, restarts: int, seed: Seed) -> SolveResult:
+    """solver.greedy_tree_lower_bound's loop as it stood before it drew from
+    raw Philox words: one Generator.integers call per root and per step. The
+    fast loop must return the same SolveResult."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    n = g.n
+    if n == 0:
+        return SolveResult(0, 0, 0, False)
+    adj = g.adj
+    rng = seed.generator()
+    best_size = 1
+    best_mask = 1
+    for _ in range(restarts):
+        root = int(rng.integers(n))
+        tree = 1 << root
+        size = 1
+        once = adj[root]
+        pool = ((1 << n) - 1) & ~tree
+        while True:
+            frontier = pool & once
+            if not frontier:
+                break
+            v = _nth_bit(frontier, int(rng.integers(frontier.bit_count())))
+            a = adj[v]
+            pool &= ~((1 << v) | (once & a))
+            once |= a
+            tree |= 1 << v
+            size += 1
+        if size > best_size:
+            best_size = size
+            best_mask = tree
+    return SolveResult(best_size, best_mask, 0, False)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import indtrees
-from indtrees import cli, counting, experiments
+from indtrees import cli, counting, experiments, graphs
 from indtrees.cli import main
 from indtrees.experiments import THETA_UPPER
 from indtrees.graphs import read_graph
@@ -342,6 +342,24 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path, message, shown):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and not path.exists()
     assert_one_line_error(err, f"indtrees sample: out of memory: {shown}")
+
+
+def test_out_of_memory_names_the_edge_count(capsys, monkeypatch, tmp_path):
+    # the sampler's own allocation refused, as above: the message gives the
+    # expected edge count and the size of its int64 pair index
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(graphs, "_sample_pair_index", refuse)
+    path = tmp_path / "g.txt"
+    argv = ("sample", "--n", "65536", "--p", "1.0", "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and not path.exists()
+    assert_one_line_error(
+        err,
+        "indtrees sample: out of memory: G(n=65536, p=1.0) expects n(n-1)p/2 = "
+        "2147450880 edges, an int64 pair index of 16.0 GiB",
+    )
 
 
 def test_moments_profile_no_bracket_exits_2(capsys):

@@ -229,6 +229,13 @@ def test_n_outside_float_range_rejected(n):
         variance_ratio_bound(n, 0.01, 2)
 
 
+@pytest.mark.parametrize("n", [0, 1, 10**309])
+def test_partition_points_rejects_n_outside_float_range(n):
+    # not a math domain error from log(log(n)) or log(n)
+    with pytest.raises(ValueError, match=r"n must be in \[2, "):
+        partition_points(n, 0.3, 5)
+
+
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
 def test_delta_not_finite_rejected(delta):
     with pytest.raises(ValueError, match="delta must be finite"):

@@ -10,6 +10,8 @@ from indtrees.graphs import Graph, is_tree, sample_gnp
 from indtrees.rng import Seed
 from indtrees.solver import (
     SolveResult,
+    _below,
+    _uint32_words,
     check_witness,
     greedy_tree_lower_bound,
     max_induced_tree,
@@ -18,6 +20,7 @@ from indtrees.solver import (
 from oracles import (
     complete_graph,
     cycle_graph,
+    greedy_reference,
     max_induced_tree_reference,
     path_graph,
     uniform_gnp,
@@ -170,6 +173,63 @@ def test_greedy_deterministic_per_seed():
     a = greedy_tree_lower_bound(g, 50, Seed(8, 1))
     b = greedy_tree_lower_bound(g, 50, Seed(8, 1))
     assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.floats(min_value=0.005, max_value=0.6),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([1, 2, 7]),
+)
+def test_greedy_matches_the_reference_loop(n, p, s, restarts):
+    g = sample_gnp(n, p, Seed(s))
+    seed = Seed(s, 1)
+    assert greedy_tree_lower_bound(g, restarts, seed) == greedy_reference(g, restarts, seed)
+
+
+@pytest.mark.parametrize("n,p", [(1000, 0.01), (3000, 0.003)])
+@pytest.mark.parametrize("restarts", [1, 2, 7])
+def test_greedy_matches_the_reference_loop_on_sparse_graphs(n, p, restarts):
+    g = sample_gnp(n, p, Seed(11, n))
+    seed = Seed(11, restarts)
+    assert greedy_tree_lower_bound(g, restarts, seed) == greedy_reference(g, restarts, seed)
+
+
+# every bound numpy's 32-bit rule treats apart: k = 1 takes no word, small k
+# almost never rejects, 2^31 + 1 rejects about half its first words,
+# 3 * 2^30 rejects a quarter, 2^32 - 1 the largest k below 2^32, and 2^32
+# takes the word as it is
+BOUNDS = [1, 2, 3, 7, 1000, 65535, 65536, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("master,stream", [(7, 1), (0, 0), (2**64 - 1, 2**63)])
+def test_below_equals_generator_integers(master, stream):
+    # the bounds interleave on one stream, so a draw that takes one word too
+    # many or too few shifts every draw after it
+    cycles = 2000
+    used = 0
+
+    def counted(words):
+        # about 11.3 words a cycle; a rule that rejects far too often runs
+        # out and fails, rather than running on
+        nonlocal used
+        for w in itertools.islice(words, 2 * len(BOUNDS) * cycles):
+            used += 1
+            yield w
+
+    words = counted(_uint32_words(Seed(master, stream).generator().bit_generator))
+    rng = Seed(master, stream).generator()
+    rejected = 0  # draws at 2^31 + 1 that took more than one word
+    for _ in range(cycles):
+        for k in BOUNDS:
+            before = used
+            assert _below(words, k) == rng.integers(k)
+            if k == 1:
+                assert used == before
+            elif k == 2**31 + 1:
+                rejected += used - before > 1
+    assert 0.45 < rejected / cycles < 0.55
 
 
 # (n, p, stream) of uniform_gnp(n, p, Seed(303, stream)) -> (size,
