@@ -9,11 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .graphs import forest_components
 from .logreal import pow_log
 
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
@@ -244,7 +243,7 @@ def count_overlap_pairs(k: int, l: int) -> OverlapTable:
 
     Relabeled to [l], the shared set meets both families alike. With psi(l, m)
     the sum of prod c_i^2 over its forests with m trees, each r-edge forest F
-    pairs with itself t(F)^2 times (see count_trees_extending_forest), so
+    pairs with itself t(F)^2 times (see _extension_count), so
     N_match(r) = k^(2(s-1)) s^(2(m-1)) psi(l, m), s = k - l, m = l - r. A
     j-edge forest S lies in a(S) = k^(k-j-2) prod c_i trees on [k], so
     G(j) = sum over |S| = j of a(S)^2 = k^(2(k-j-2)) psi(l, l-j) counts each
@@ -255,7 +254,7 @@ def count_overlap_pairs(k: int, l: int) -> OverlapTable:
     psi = _forest_weights(l, 2)
     s = k - l
     # the factor k^-2 divides exactly, also at j = k - 1 and s = 0, where psi
-    # holds k^2 per spanning tree of [l] (see count_trees_extending_forest)
+    # holds k^2 per spanning tree of [l] (see _extension_count)
     g = [k ** (2 * (k - j - 1)) * psi[l - j] // k**2 for j in range(l)]
     total = [
         sum((-1) ** (j - r) * math.comb(j, r) * g[j] for j in range(r, l))
@@ -265,34 +264,9 @@ def count_overlap_pairs(k: int, l: int) -> OverlapTable:
     return OverlapTable(k, l, tuple(total), tuple(matching))
 
 
-def count_trees_extending_forest(
-    k: int, forest: Iterable[tuple[int, int]], l: int
-) -> int:
-    """Number of trees on {0..k-1} that induce exactly the given forest on {0..l-1}.
-
-    With c_1..c_m the sizes of the forest's m trees and s = k - l >= 1, this is
-    t(F) = prod c_i * k^(s-1) * s^(m-1): the spanning trees of the complete
-    multipartite graph that contracts each tree of F to one vertex of weight
-    c_i (Moon, Counting Labelled Trees, 1970). At s = 0 it is 1 if F spans
-    [l] and 0 otherwise; l = 0 leaves cayley(k). extensions_match_enumeration
-    is the oracle.
-    """
-    if not (0 <= l <= k and k >= 1):
-        raise ValueError(f"need 0 <= l <= k and k >= 1, got k={k}, l={l}")
-    forest = tuple(tuple(sorted(e)) for e in forest)
-    for (a, b) in forest:
-        if not (0 <= a < b < l):
-            raise ValueError(f"forest edge ({a},{b}) outside [0, {l})")
-    sizes = forest_components(l, forest)
-    if sizes is None:
-        raise ValueError("input is not a forest")
-    if l == 0:
-        return cayley(k)
-    return _extension_count(k, l, math.prod(sizes), len(sizes))
-
-
 def _extension_count(k: int, l: int, size_product: int, m: int) -> int:
-    """t(F) for a forest on [l], 1 <= l <= k, of m trees of size product size_product."""
+    """t(F) = prod c_i * k^(s-1) * s^(m-1), s = k - l: the trees on [k] that induce a forest
+    on [l], 1 <= l <= k, of m trees of size product size_product (Moon, 1970)."""
     # k divides k^s for s >= 1; at s = 0, prod c_i = k if F spans and 0^(m-1) = 0 if not
     return size_product * k ** (k - l) * (k - l) ** (m - 1) // k
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -192,7 +191,6 @@ class TrialRecord:
     size: int
     optimal: bool
     nodes: int
-    millis: float
 
     def sort_key(self):
         return (self.n, self.p, self.stream)
@@ -201,15 +199,13 @@ class TrialRecord:
 def _run_trial(args) -> TrialRecord:
     n, p, stream, master, solver = args
     g = sample_gnp(n, p, Seed(master, stream))
-    t0 = time.perf_counter()
     if solver.kind == "exact":
         res: SolveResult = max_induced_tree(g, solver.budget)
     else:
         res = greedy_tree_lower_bound(
             g, solver.restarts, Seed(master, stream | _SOLVER_STREAM_OFFSET)
         )
-    millis = (time.perf_counter() - t0) * 1000.0
-    return TrialRecord(n, p, stream, res.size, res.optimal, res.nodes_explored, millis)
+    return TrialRecord(n, p, stream, res.size, res.optimal, res.nodes_explored)
 
 
 @dataclass(frozen=True)
@@ -391,7 +387,6 @@ def import_csv(path) -> list[TrialRecord]:
                     size=int(row["size"]),
                     optimal=row["optimal"] == "true",
                     nodes=int(row["nodes"]),
-                    millis=float(row["millis"]),
                 )
             )
     return records

@@ -246,30 +246,9 @@ def is_connected_set(g: Graph, mask: int) -> bool:
     return seen == mask
 
 
-def is_connected(g: Graph) -> bool:
-    return is_connected_set(g, (1 << g.n) - 1)
-
-
 def is_tree(g: Graph) -> bool:
     """Connected and exactly n-1 edges; true for the 1-vertex graph, false for n=0."""
-    return g.edge_count == g.n - 1 and is_connected(g)
-
-
-def forest_components(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Component sizes of the graph on [n] with these edges, or None if they close a cycle."""
-    parent = list(range(n))
-    size = [1] * n
-    for u, v in edges:
-        # find both roots, halving each path on the way
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u == v:
-            return None
-        parent[u] = v
-        size[v] += size[u]
-    return [s for v, s in enumerate(size) if parent[v] == v]
+    return g.edge_count == g.n - 1 and is_connected_set(g, (1 << g.n) - 1)
 
 
 def _edge_lines(n: int, us: np.ndarray, vs: np.ndarray) -> str:

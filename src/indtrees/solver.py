@@ -121,12 +121,10 @@ def _nth_bit(mask: int, r: int) -> int:
 
 
 def _uint32_words(bitgen) -> Iterator[int]:
-    """bitgen's 32-bit outputs in its next_uint32 order: the raw 64-bit words
-    in blocks of _WORD_BLOCK, each split into its low half, then its high half."""
+    """bitgen's 32-bit outputs in its next_uint32 order: the raw 64-bit words in
+    blocks of _WORD_BLOCK, each viewed little-endian as its low half, then its high half."""
     while True:
-        for w in bitgen.random_raw(_WORD_BLOCK).tolist():
-            yield w & _LOW32
-            yield w >> 32
+        yield from bitgen.random_raw(_WORD_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
 
 
 def _below(words: Iterator[int], k: int) -> int:

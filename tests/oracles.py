@@ -2,14 +2,16 @@
 import itertools
 import math
 from math import comb, e, log, log1p
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from indtrees import counting
 from indtrees.counting import (
     OverlapTable,
     _forests,
     _restriction_masks,
+    cayley,
     enumerate_labeled_trees,
     f_piecewise,
 )
@@ -18,7 +20,6 @@ from indtrees.graphs import (
     Graph,
     _pair_index,
     _sample_pair_index,
-    forest_components,
     induced_subgraph,
     is_tree,
 )
@@ -150,6 +151,49 @@ def prufer_trees(k: int):
     decode per sequence, in itertools.product order."""
     for seq in itertools.product(range(k), repeat=k - 2):
         yield _decode_prufer(seq, k)
+
+
+def forest_components(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
+    """Component sizes of the graph on [n] with these edges, or None if they close a cycle."""
+    parent = list(range(n))
+    size = [1] * n
+    for u, v in edges:
+        # find both roots, halving each path on the way
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return None
+        parent[u] = v
+        size[v] += size[u]
+    return [s for v, s in enumerate(size) if parent[v] == v]
+
+
+def count_trees_extending_forest(
+    k: int, forest: Iterable[tuple[int, int]], l: int
+) -> int:
+    """Number of trees on {0..k-1} that induce exactly the given forest on {0..l-1}.
+
+    With c_1..c_m the sizes of the forest's m trees and s = k - l >= 1, this is
+    t(F) = prod c_i * k^(s-1) * s^(m-1): the spanning trees of the complete
+    multipartite graph that contracts each tree of F to one vertex of weight
+    c_i (Moon, Counting Labelled Trees, 1970). At s = 0 it is 1 if F spans
+    [l] and 0 otherwise; l = 0 leaves cayley(k). extensions_match_enumeration
+    is the oracle.
+    """
+    if not (0 <= l <= k and k >= 1):
+        raise ValueError(f"need 0 <= l <= k and k >= 1, got k={k}, l={l}")
+    forest = tuple(tuple(sorted(e)) for e in forest)
+    for (a, b) in forest:
+        if not (0 <= a < b < l):
+            raise ValueError(f"forest edge ({a},{b}) outside [0, {l})")
+    sizes = forest_components(l, forest)
+    if sizes is None:
+        raise ValueError("input is not a forest")
+    if l == 0:
+        return cayley(k)
+    return counting._extension_count(k, l, math.prod(sizes), len(sizes))
 
 
 def forests_by_filter(l: int, r: int):

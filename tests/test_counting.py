@@ -12,7 +12,6 @@ from indtrees.counting import (
     count_forests,
     count_forests_enumerated,
     count_overlap_pairs,
-    count_trees_extending_forest,
     enumerate_labeled_trees,
     f_piecewise,
     rooted_forest_count_closed_form,
@@ -22,6 +21,7 @@ from indtrees.counting import (
 from indtrees.graphs import Graph, is_tree
 from oracles import (
     count_overlap_pairs_pairwise,
+    count_trees_extending_forest,
     enumerate_forests,
     forest_masks,
     forests_by_filter,

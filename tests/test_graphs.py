@@ -13,9 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indtrees import graphs
 from indtrees.graphs import (
     Graph,
-    forest_components,
     induced_subgraph,
-    is_connected,
+    is_connected_set,
     is_tree,
     mask_vertices,
     read_graph,
@@ -23,7 +22,14 @@ from indtrees.graphs import (
     write_graph,
 )
 from indtrees.rng import Seed
-from oracles import adjacency_rows, complete_graph, cycle_graph, path_graph, read_graph_lines
+from oracles import (
+    adjacency_rows,
+    complete_graph,
+    cycle_graph,
+    forest_components,
+    path_graph,
+    read_graph_lines,
+)
 
 
 def small_graphs():
@@ -441,7 +447,7 @@ def test_recognizer_edge_cases():
     empty = Graph(0)
     assert not is_tree(empty)
     assert forest_components(empty.n, empty.edges()) is not None  # vacuously acyclic
-    assert not is_connected(empty)
+    assert not is_connected_set(empty, 0)
     single = Graph(1)
     assert is_tree(single)
     assert forest_components(single.n, single.edges()) is not None

@@ -187,6 +187,13 @@ def test_k_hat_unsupported_range_raises():
         solve_k_hat(10, 0.001)  # np << 1: k_star below the bracket floor
 
 
+def test_k_hat_stalled_bisection_raises(monkeypatch):
+    # a bisection that never moves leaves gamma far from 0 at the returned root
+    monkeypatch.setattr(moments, "_bisect", lambda f, lo, hi, tol: (lo, lo))
+    with pytest.raises(BracketError, match=r"bisection stalled: gamma = 18\.5"):
+        solve_k_hat(10**5, 0.02)
+
+
 def test_sign_flip_around_root():
     n, p = 10**6, 0.02
     root = solve_k_hat(n, p)
