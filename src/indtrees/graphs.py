@@ -20,6 +20,7 @@ _PAIR_TABLE_N = 32  # up to this n, the loop skips _pair_endpoints' numpy fixed 
 _READ_BYTES = 1 << 16  # bytes read_graph parses at a time, cut just after a line break
 _SPACE = np.zeros(256, dtype=bool)  # the ASCII bytes str.split() splits on
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_CELL = np.dtype("<u8")  # _edge_lines' byte cells, little-endian on every host
 
 
 def check_vertex_count(n: int, error: type[ValueError] = ValueError) -> None:
@@ -142,16 +143,22 @@ def _pair_index_bounds(n: int) -> np.ndarray:
 
 
 def _pair_index(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Sorted, unique pair indices of the int64 pairs {us[i], vs[i]}, us != vs."""
+    """Sorted, unique pair indices of the int64 pairs {us[i], vs[i]}, us != vs.
+    Pairs already in strictly increasing index order (write_graph's files,
+    induced_subgraph's monotone relabel) skip the sort: the same array."""
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    idx = np.sort(_pair_index_bounds(n)[lo] + (hi - lo - 1))
-    return idx[np.diff(idx, prepend=-1) != 0]
+    idx = _pair_index_bounds(n)[lo] + (hi - lo - 1)
+    if not (idx[1:] > idx[:-1]).all():
+        idx.sort()
+        idx = idx[np.diff(idx, prepend=-1) != 0]
+    return idx
 
 
 def _pair_endpoints(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (us, vs), us < vs, with lexicographic pair indices idx."""
+    """The pairs (us, vs), us < vs, with sorted lexicographic pair indices
+    idx; us repeats each vertex by the number of indices in its row."""
     starts = _pair_index_bounds(n)
-    us = np.searchsorted(starts, idx, side="right") - 1
+    us = np.repeat(np.arange(n), np.diff(np.searchsorted(idx, starts), append=len(idx)))
     return us, idx - starts[us] + us + 1
 
 
@@ -254,23 +261,22 @@ def is_tree(g: Graph) -> bool:
 def _edge_lines(n: int, us: np.ndarray, vs: np.ndarray) -> str:
     """The "u v\\n" lines for edges (us, vs), formatted by table lookup.
 
-    Each vertex's decimal digits are right-aligned in NUL-padded columns;
-    dropping the NULs leaves exactly f"{u} {v}\\n" per edge.
+    Each vertex has one 8-byte little-endian cell per side of a line: its
+    decimal digits right-aligned in bytes 0-4, then " " (u side) or "\\n"
+    (v side) in byte 5, then NUL padding. A line is the u cell of us[i] and
+    the v cell of vs[i]; dropping the NULs leaves exactly f"{u} {v}\\n".
     """
     width = len(str(MAX_N - 1))
-    x = np.arange(n)
-    digits = np.zeros((n, width), dtype=np.uint8)
+    x = np.arange(n, dtype=_CELL)
+    digits = np.zeros(n, dtype=_CELL)
     for c in range(width):
         scale = 10 ** (width - 1 - c)
         shown = (x >= scale) | (scale == 1)
-        digits[:, c] = np.where(shown, ord("0") + x // scale % 10, 0)
-    line = np.empty((len(us), 2 * width + 2), dtype=np.uint8)
-    line[:, :width] = digits[us]
-    line[:, width] = ord(" ")
-    line[:, width + 1:-1] = digits[vs]
-    line[:, -1] = ord("\n")
-    flat = line.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+        digits |= np.where(shown, ord("0") + x // scale % 10, 0) << 8 * c
+    line = np.empty((len(us), 2), dtype=_CELL)
+    line[:, 0] = (digits | ord(" ") << 8 * width).take(us)
+    line[:, 1] = (digits | ord("\n") << 8 * width).take(vs)
+    return line.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_graph(g: Graph, path_or_buf) -> None:
@@ -304,7 +310,8 @@ def read_graph(path) -> Graph:
         data = fh.read()
     if not data.isascii():
         data.decode("ascii")  # raises UnicodeDecodeError naming the first bad byte
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # text mode's translation
+    if b"\r" in data:  # text mode's translation
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     header_end = data.find(b"\n") if b"\n" in data else len(data)
     start = header_end + 1
     header = data[:header_end].decode("ascii").split()
@@ -346,7 +353,7 @@ def _parse_block(b: np.ndarray, line: int) -> tuple[np.ndarray, int]:
     """The int64 values of the tokens in the bytes b, a run of whole lines
     whose first is numbered line, and the number of line breaks in b. Each
     line must hold 0 or 2 tokens."""
-    bounds = np.flatnonzero(np.diff(_SPACE[b], prepend=True, append=True))
+    bounds = np.flatnonzero(np.diff(_SPACE.take(b), prepend=True, append=True))
     starts, stops = bounds[::2], bounds[1::2]
     ends = np.flatnonzero(b == 10)
     firsts = np.concatenate(([0], ends + 1))  # first byte of each line
@@ -361,9 +368,10 @@ def _parse_block(b: np.ndarray, line: int) -> tuple[np.ndarray, int]:
     lens = stops - starts
     fast = lens <= 18
     values = np.zeros(len(starts), dtype=np.int64)
+    last = stops - 1
     for j in range(min(18, int(lens.max(initial=0)))):
         live = lens > j
-        digit = b[np.minimum(starts + j, stops - 1)] - np.uint8(48)
+        digit = b.take(np.minimum(starts + j, last)) - np.uint8(48)
         fast &= ~live | (digit < 10)
         values = np.where(live, values * 10 + digit, values)
     try:

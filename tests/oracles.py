@@ -18,7 +18,6 @@ from indtrees.counting import (
 from indtrees.graphs import (
     MAX_N,
     Graph,
-    _pair_index,
     _sample_pair_index,
     induced_subgraph,
     is_tree,
@@ -474,6 +473,12 @@ def variance_ratio_bound_loop(n: int, p: float, k: int) -> LoopBound:
     return LoopBound("sparse" if sparse else "dense", tuple(entries), part_log_sums, total)
 
 
+def lexicographic_pair_index(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The index of each pair (us[i], vs[i]), us < vs, in lexicographic pair
+    order, by the closed formula rather than graphs._pair_index."""
+    return us * n - us * (us + 1) // 2 + (vs - us - 1)
+
+
 def read_graph_lines(path) -> Graph:
     """graphs.read_graph as a line-by-line reader: the file read as ASCII
     text, each line split by str.split() and each token cast by int(), 512
@@ -505,7 +510,7 @@ def read_graph_lines(path) -> Graph:
     if bad.size:
         u, v = uv[bad[0]].tolist()
         raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
-    idx = _pair_index(n, us, vs)
+    idx = np.unique(lexicographic_pair_index(n, us, vs))
     if idx.size != m:
         raise ValueError(f"header claims {m} edges, found {idx.size}")
     return Graph._from_pair_index(n, idx)

@@ -27,6 +27,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     forest_components,
+    lexicographic_pair_index,
     path_graph,
     read_graph_lines,
 )
@@ -366,6 +367,43 @@ def test_rows_from_pair_index_match_constructor(count, span):
     assert repr(g) == f"Graph(n={n}, m={count})"
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_pair_endpoints_of_every_pair(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    us, vs = graphs._pair_endpoints(n, np.arange(len(pairs), dtype=np.int64))
+    assert list(zip(us.tolist(), vs.tolist())) == pairs
+
+
+@pytest.mark.parametrize("isolated", [0, 3], ids=["last-pair", "isolated-top"])
+@pytest.mark.parametrize("n", [1000, 4097, 65536])
+def test_pair_endpoints_of_sorted_subsets(n, isolated):
+    """Random pairs on the vertices below n - isolated; with none isolated,
+    the last pair (n-2, n-1), index m - 1, is among them."""
+    rng = np.random.default_rng(n + isolated)
+    us = rng.integers(0, n - isolated - 1, 3000)
+    vs = rng.integers(us + 1, n - isolated)
+    pairs = set(zip(us.tolist(), vs.tolist())) | ({(n - 2, n - 1)} if not isolated else set())
+    pairs = sorted(pairs)
+    us, vs = graphs._pair_endpoints(n, lexicographic_pair_index(n, *np.array(pairs).T))
+    assert list(zip(us.tolist(), vs.tolist())) == pairs
+
+
+def test_pair_index_sorts_and_deduplicates_only_what_needs_it():
+    n = 40
+    rng = np.random.default_rng(9)
+    us = rng.integers(0, n - 1, 500)
+    vs = rng.integers(us + 1, n)
+    expected = np.unique(lexicographic_pair_index(n, us, vs))
+    swap = rng.random(len(us)) < 0.5  # either endpoint order
+    shuffled = graphs._pair_index(n, np.where(swap, vs, us), np.where(swap, us, vs))
+    assert shuffled.dtype == np.int64 and np.array_equal(shuffled, expected)
+    sorted_us, sorted_vs = graphs._pair_endpoints(n, expected)
+    assert np.array_equal(graphs._pair_index(n, sorted_us, sorted_vs), expected)
+    # sorted but with each pair twice: not strictly increasing, so de-duplicated
+    twice = graphs._pair_index(n, np.repeat(sorted_us, 2), np.repeat(sorted_vs, 2))
+    assert np.array_equal(twice, expected)
+
+
 @pytest.mark.parametrize("n, p, seed", [(2000, 0.01, Seed(41)), (6000, 0.003, Seed(42))])
 def test_sample_edge_count_and_degree_distribution(n, p, seed):
     """Edge-count z-score and a degree chi-square against Binomial(n-1, p)."""
@@ -463,6 +501,20 @@ def test_graph_file_round_trip(tmp_path):
     assert read_graph(path) == g
     first = path.read_text().splitlines()[0]
     assert first == f"{g.n} {g.edge_count}"
+
+
+def test_write_graph_at_every_digit_width(tmp_path):
+    verts = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535]
+    edges = list(itertools.combinations(verts, 2))
+    g = Graph(graphs.MAX_N, edges)
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    text = f"{graphs.MAX_N} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    assert path.read_bytes() == text.encode()
+    assert read_graph(path) == g
+    for n in (0, 1):
+        write_graph(Graph(n), path)
+        assert path.read_bytes() == f"{n} 0\n".encode()
 
 
 def test_read_graph_rejects_malformed(tmp_path):
