@@ -19,8 +19,8 @@ from .graphs import (
     sample_gnp,
     write_graph,
 )
-from .logreal import LogReal
 from .moments import (
+    LogReal,
     compute_profile,
     g_threshold,
     log_expected_trees,

@@ -196,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--greedy", action="store_true")
     sp.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--seed", type=int, default=0,
+        help="greedy stream Seed(seed, 0), as for sample --seed: use a seed other than the graph's",
+    )
     sp.set_defaults(func=_cmd_solve)
 
     op = sub.add_parser("oracle", help="exact counting oracles")
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument(
         "--k", type=int, default=None,
-        help=f"tree size; default floor(k_hat - 1 + {DEFAULT_DELTA}), as in profile",
+        help=f"tree size; default floor(k_hat - 1 + {DEFAULT_DELTA}), profile's k at default --delta",
     )
     sp.set_defaults(func=_cmd_moments_varbound)
 

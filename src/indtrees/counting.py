@@ -13,8 +13,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .logreal import pow_log
-
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
 MAX_OVERLAP_K = 7  # validate_overlap_bounds' float bounds and the enumeration cross-check
 PRODUCT_BOUND_PS = (0.1, 0.3, 0.5)  # the p at which validate_overlap_bounds checks the product bound
@@ -189,6 +187,19 @@ def rooted_forest_count_enumerated(l: int, m: int) -> int:
     if not (1 <= m <= l):
         raise ValueError(f"need 1 <= m <= l, got l={l}, m={m}")
     return sum(int(_size_products(labels).sum()) for _, labels in _forests(l, l - m))
+
+
+def pow_log(base: float, exponent: float) -> float:
+    """ln(base**exponent) with the 0**0 == 1 convention; base >= 0."""
+    if base < 0:
+        raise ValueError("negative base")
+    if base == 0:
+        if exponent == 0:
+            return 0.0
+        if exponent < 0:
+            raise ZeroDivisionError("zero to a negative power")
+        return -math.inf
+    return exponent * math.log(base)
 
 
 def f_piecewise(k: int, l: int, r: int) -> float:

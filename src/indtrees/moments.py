@@ -2,27 +2,42 @@
 
 Expected counts of induced k-trees, the Stirling-asymptotic exponent and its
 root k_hat, the floor threshold, and the per-overlap variance-ratio bounds in
-both the sparse and the dense edge-probability regimes.
+both the sparse and the dense edge-probability regimes. Quantities like
+C(n,k) k^(k-2) p^(k-1) (1-p)^(C(k,2)-k+1) overflow or underflow 64-bit floats
+long before the interesting parameter range, so all of them are natural logs.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, e, lgamma, log, log1p, pi
 from typing import Iterator
 
 import numpy as np
 
-from .counting import product_bound_max_ell
-from .logreal import LogReal, log_sum_exp
+from .counting import ONE_MINUS_INV_E, product_bound_max_ell
 
 KHAT_TOL = 1e-9
 STIRLING_MIN_M = 1000  # below it, lgamma differences are exact to ~1e-13 relative
 NEAR_TIE_EPS = 1e-6
 DEFAULT_DELTA = 0.5
 THETA_UPPER = (math.e - 2) / (3 * math.e - 2)  # the theorem's p = n^-theta has 0 < theta < this
+_EXP_ZERO = -746.0  # math.exp(x) is exactly 0.0 below it
+
+
+@dataclass(frozen=True)
+class LogReal:
+    """A nonnegative real stored as its natural log; -inf is zero."""
+
+    logmag: float
+
+    def to_float(self) -> float:
+        try:
+            return math.exp(self.logmag)
+        except OverflowError:
+            return math.inf
 
 
 def _check_p(p: float) -> None:
@@ -219,7 +234,7 @@ class PartitionPoints:
     k_minus_w_over_p: float
     k_minus_half_p: float
     ell_1: float
-    ell_2: float
+    ell_2: float  # k - 3(1-p)/p: reported by profile, read by no bound
     w: float
     ordered: bool  # 2 <= ell_star <= k - w/p <= k - 1/(2p) <= k - 1
 
@@ -523,7 +538,7 @@ class _OverlapTerms:
         k = self.k
         r = np.arange(float(ell))
         mid = math.ceil(ell / 2)  # first r >= ell / 2
-        top = math.ceil(ell * (1 - 1 / e))  # first r >= ell (1 - 1/e)
+        top = math.ceil(ell * ONE_MINUS_INV_E)  # first r >= ell (1 - 1/e)
         f0 = np.empty(ell)
         f0[:mid] = r[:mid] * log(2)
         f0[mid:top] = k * log(4 / 3) + r[mid:top] * log(9 / 8)
@@ -536,6 +551,31 @@ class _OverlapTerms:
             (k - j) * log(ell / (ell - j)) + (k - j) * log_ps if j >= top else screen.item(j)
             for j in near
         )
+
+
+def log_sum_exp(logs) -> float:
+    """ln(sum(e**x for x in logs)); -inf on an empty input, m for a maximum m = ±inf.
+
+    The bits are those of one plain sum() of math.exp(x - m) over all x, in
+    order, with m the maximum: numpy's exp and pairwise sum would change the
+    last bits, and a list and an array of the same values must give the same
+    result. The differences x - m are made _BLOCK at a time, and those below
+    _EXP_ZERO = -746 are left out: e**(x - m) is then below half the least
+    positive float (5e-324 / 2 = e**-745.13), so math.exp gives exactly 0.0,
+    and adding +0.0 to a partial sum of nonnegative terms leaves its bits
+    unchanged, also under the compensated float sum() of Python >= 3.12.
+    Most of a variance bound's entries are far below its maximum, so this
+    skips most math.exp calls. NaN differences are kept: NaN propagates.
+    """
+    x = logs if isinstance(logs, np.ndarray) else np.fromiter(logs, dtype=float)
+    if x.size == 0:
+        return -math.inf
+    m = float(x.max())
+    if math.isinf(m):
+        return m
+    blocks = (x[a : a + _BLOCK] - m for a in range(0, x.size, _BLOCK))
+    terms = chain.from_iterable(map(math.exp, d[~(d < _EXP_ZERO)].tolist()) for d in blocks)
+    return m + math.log(sum(terms))
 
 
 def _part_ranges(p: float, k: int, sparse: bool, pts: PartitionPoints):
@@ -568,9 +608,9 @@ def variance_ratio_bound(n: int, p: float, k: int) -> VarianceBound:
 
     Sparse regime (p < 1/(2 ln n)): the four-part split with the trivial,
     product, forest-count, and near-total-overlap bounds. Dense regime: the
-    trivial bound up to ell_1, the product bound through ell_2's zone, and
-    the f0/f1 bound for the last O(1/p) overlaps. The part boundaries are
-    partition_points'; for integer ell, ell <= x is ell <= floor(x).
+    trivial bound up to ell_1, the product bound up to product_bound_max_ell
+    = k - 2(1-p)/p, and the f0/f1 bound beyond. The other boundaries are
+    partition_points' (its ell_2 is only reported); ell <= x is ell <= floor(x).
     """
     _check_p(p)
     _check_n(n)

@@ -20,12 +20,10 @@ _local = threading.local()  # .generator: this thread's reusable Generator
 class Seed:
     """Master seed plus a per-trial stream index; injective into RNG states.
 
-    generator() builds a new Generator that the caller owns. A caller that
-    draws and drops its generator within one call (the G(n,p) sampler) takes
-    reset_generator(seed) instead: the same draws without a new Philox. The
-    greedy solver reads only the raw 64-bit Philox words of generator() and
-    turns their 32-bit halves, low half first, into bounded integers by
-    numpy's 32-bit rule, so its records depend only on Philox's raw output.
+    The library's own draws (the sampler's gaps and the greedy's raw words)
+    reset the thread's one Philox to this stream with reset_generator(seed).
+    generator() returns a new Generator with the same draws, for callers that
+    keep one.
     """
 
     master: int

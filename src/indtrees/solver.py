@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph, induced_subgraph, is_connected_set, is_tree, mask_vertices
-from .rng import Seed
+from .rng import Seed, reset_generator
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_RESTARTS = 100
@@ -151,9 +151,10 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
     lowest of them, with r uniform below their count.
 
     The root and every r come from `_below` on the 32-bit halves of the raw
-    words of seed's Philox stream, low half first. That is the rule and the
-    order of `seed.generator().integers(k)`, so the records equal the
-    per-step integers calls', and they depend only on Philox's raw words.
+    words of seed's Philox stream (`reset_generator(seed)`), low half first.
+    That is the rule and the order of `Generator.integers(k)` on that stream,
+    so the records equal the per-step integers calls', and they depend only
+    on Philox's raw words.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -161,7 +162,7 @@ def greedy_tree_lower_bound(g: Graph, restarts: int, seed: Seed) -> SolveResult:
     if n == 0:
         return SolveResult(0, 0, 0, False)
     adj = g.adj
-    words = _uint32_words(seed.generator().bit_generator)
+    words = _uint32_words(reset_generator(seed).bit_generator)
     best_size = 1
     best_mask = 1
     for _ in range(restarts):

@@ -277,7 +277,7 @@ def count_overlap_pairs_pairwise(k: int, l: int) -> OverlapTable:
 
 def log_sum_exp_one_sum(logs) -> float:
     """ln(sum(e**x for x in logs)) as one plain sum() of math.exp(x - m) over
-    every x, in order, with m the maximum: the bits logreal.log_sum_exp must
+    every x, in order, with m the maximum: the bits moments.log_sum_exp must
     reproduce. -inf on an empty input, m for a maximum m = ±inf."""
     x = np.fromiter(logs, dtype=float)
     if x.size == 0:
@@ -550,6 +550,34 @@ def max_induced_tree_reference(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveR
             stack.append((tree, pool, once, size))
             stack.append((tree | v, pool & ~(once & a), once | a, size + 1))
     return SolveResult(best_size, best_mask, nodes, True)
+
+
+def census(g: Graph) -> list[int]:
+    """(X_0, ..., X_n): X_k is the number of k-vertex induced trees of g, and
+    X_0 = 1 counts the empty tree, as the solvers do at n = 0.
+
+    solver.max_induced_tree's include/exclude loop without the bound: it
+    reaches each induced tree exactly once, rooted at its least vertex, so
+    each root and each include step counts one tree."""
+    n = g.n
+    adj = g.adj
+    counts = [1] + [0] * n
+    for root in range(n):
+        counts[1] += 1
+        pool = ((1 << n) - 1) >> (root + 1) << (root + 1)  # above the root
+        stack = [(1 << root, pool, adj[root], 1)]
+        while stack:
+            tree, pool, once, size = stack.pop()
+            frontier = pool & once
+            if not frontier:
+                continue
+            v = frontier & -frontier
+            a = adj[v.bit_length() - 1]
+            pool &= ~v
+            stack.append((tree, pool, once, size))
+            stack.append((tree | v, pool & ~(once & a), once | a, size + 1))
+            counts[size + 1] += 1
+    return counts
 
 
 def greedy_reference(g: Graph, restarts: int, seed: Seed) -> SolveResult:

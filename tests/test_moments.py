@@ -377,7 +377,7 @@ def test_variance_bound_structure_sparse():
     assert [part for (part, _, _) in vb.parts] == ["part1", "part2", "part3", "part4"]
     assert set(vb.part_log_sums) == {"part1", "part2", "part3", "part4"}
     # partial sums recombine to the grand total
-    from indtrees.logreal import log_sum_exp
+    from indtrees.moments import log_sum_exp
 
     assert vb.log_total == pytest.approx(
         log_sum_exp(vb.part_log_sums.values()), abs=1e-9

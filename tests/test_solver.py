@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indtrees.counting import cayley
-from indtrees.graphs import Graph, is_tree, sample_gnp
+from indtrees.graphs import Graph, is_connected_set, is_tree, sample_gnp
 from indtrees.rng import Seed
 from indtrees.solver import (
     SolveResult,
@@ -18,6 +18,7 @@ from indtrees.solver import (
     max_induced_tree_bruteforce,
 )
 from oracles import (
+    census,
     complete_graph,
     cycle_graph,
     greedy_reference,
@@ -92,6 +93,37 @@ def test_empty_graph_gives_the_whole_empty_result():
 def test_bruteforce_refuses_large_n():
     with pytest.raises(ValueError):
         max_induced_tree_bruteforce(Graph(21))
+
+
+def census_by_subsets(g: Graph) -> list[int]:
+    """(X_0, ..., X_n) by a scan of every subset, with max_induced_tree_bruteforce's
+    edge-count table: edges[S] from S minus its lowest bit. X_0 = 1."""
+    n = g.n
+    adj = g.adj
+    counts = [1] + [0] * n
+    edges = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        e = edges[rest] + (adj[low.bit_length() - 1] & rest).bit_count()
+        edges[s] = e
+        size = s.bit_count()
+        if e == size - 1 and is_connected_set(g, s):
+            counts[size] += 1
+    return counts
+
+
+def test_census_equals_the_subset_scan():
+    for s in range(120):
+        g = sample_gnp(s % 13, (0.1, 0.3, 0.5, 0.8)[s % 4], Seed(2029, s))
+        assert census(g) == census_by_subsets(g)
+
+
+def test_census_largest_tree_is_the_solvers():
+    for s in range(400):
+        g = sample_gnp(s % 17, (0.15, 0.3, 0.45, 0.7)[s % 4], Seed(2030, s))
+        x = census(g)
+        assert max(k for k in range(g.n + 1) if x[k] > 0) == max_induced_tree(g).size
 
 
 def test_witness_certifies_result():
@@ -314,3 +346,23 @@ def test_greedy_matches_pinned_records(restarts, size, digest):
     assert res.size == size
     assert hashlib.sha256(hex(res.witness).encode()).hexdigest() == digest
     assert check_witness(g, res)
+
+
+def test_greedy_draws_from_the_threads_shared_philox(monkeypatch):
+    # the greedy resets the thread's one Philox, as the sampler does: it builds
+    # no Generator, and a sampler call between two greedy calls changes nothing
+    g = uniform_gnp(1000, 0.01, Seed(7, 0))
+
+    def no_new_generator(self):
+        raise AssertionError("Seed.generator called")
+
+    monkeypatch.setattr(Seed, "generator", no_new_generator)
+    before = [greedy_tree_lower_bound(g, restarts, Seed(7, 1)) for restarts in (1, 5)]
+    h = sample_gnp(60, 0.1, Seed(3, 2))
+    after = [greedy_tree_lower_bound(g, restarts, Seed(7, 1)) for restarts in (1, 5)]
+    assert after == before
+    assert sample_gnp(60, 0.1, Seed(3, 2)) == h
+    assert [(r.size, hashlib.sha256(hex(r.witness).encode()).hexdigest()) for r in after] == [
+        (339, "48a09f2957a094033dda22eada79711a38cb36adf8dce01e67b5755a3b5ff2ab"),
+        (356, "a518f684b97f154cceb69528b06828d268ad6f0e1c1382ec7217b7211518ad03"),
+    ]
