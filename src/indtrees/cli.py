@@ -222,7 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = msub.add_parser("profile", help="k*, k_hat, threshold, partition points")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    sp.add_argument(
+        "--delta", type=float, default=DEFAULT_DELTA,
+        help="k = floor(k_hat - 1 + delta); delta must put k in [2, n]",
+    )
     sp.set_defaults(func=_cmd_moments_profile)
     sp = msub.add_parser("varbound", help="variance-ratio partition bounds")
     sp.add_argument("--n", type=int, required=True)

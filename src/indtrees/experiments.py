@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .graphs import check_vertex_count, open_output, sample_gnp
 from .moments import DEFAULT_DELTA, THETA_UPPER, g_threshold, log_expected_trees, solve_k_hat
@@ -210,10 +210,10 @@ def _run_trial(args) -> TrialRecord:
 
 @dataclass(frozen=True)
 class BatchSummary:
-    """One (n, p) batch: the size histogram, the threshold window and k_hat.
+    """One (n, p) batch; its fields are the summary keys of result.json.
 
-    The best consecutive pair and the Markov upper tail are derived on
-    request, so they cost nothing in run_experiment and stay out of exports.
+    Derived values, the best consecutive pair and the Markov upper tail, are
+    properties: they cost nothing in run_experiment and stay out of exports.
     """
 
     n: int
@@ -226,16 +226,10 @@ class BatchSummary:
     k_hat: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "lower_bound_only": self.lower_bound_only,
-            "window": list(self.window) if self.window else None,
-            "window_mass": self.window_mass,
-            "near_tie": self.near_tie,
-            "k_hat": self.k_hat,
-        }
+        d = asdict(self)
+        d["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
+        d["window"] = list(self.window) if self.window else None
+        return d
 
     @property
     def best_pair(self) -> tuple[int, int] | None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from decimal import Decimal
 from itertools import chain, repeat
 from math import comb, e, lgamma, log, log1p, pi
 from typing import Iterator
@@ -234,28 +235,27 @@ class PartitionPoints:
     k_minus_w_over_p: float
     k_minus_half_p: float
     ell_1: float
-    ell_2: float  # k - 3(1-p)/p: reported by profile, read by no bound
     w: float
-    ordered: bool  # 2 <= ell_star <= k - w/p <= k - 1/(2p) <= k - 1
 
 
 def partition_points(n: int, p: float, k: float) -> PartitionPoints:
     """Boundaries of the four-part split of overlap sizes, plus the dense-regime ones."""
     _check_n(n)
     _check_p(p)
+    if not (2 <= k <= n):
+        # Decimal formats an int past the float range, where '.15g' overflows
+        raise ValueError(f"need 2 <= k <= n, got k={Decimal(k):.15g}")
     w = log(n) ** 0.25  # part 2 of the sparse split ends at k - w/p
     L = -log1p(-p)
     ell_star = (2 * log(n * p) - 2 * log(4 * e * k)) / L
-    b2 = k - w / p
-    b3 = k - 1 / (2 * p)
     ell_1 = (2 * log(n) - 16 * log(log(n))) / L
-    ell_2 = k - 3 * (1 - p) / p
-    ordered = 2 <= ell_star <= b2 <= b3 <= k - 1
-    return PartitionPoints(ell_star, b2, b3, ell_1, ell_2, w, ordered)
+    return PartitionPoints(ell_star, k - w / p, k - 1 / (2 * p), ell_1, w)
 
 
 @dataclass(frozen=True)
 class MomentProfile:
+    """The record `moments profile` prints: its fields are the keys, in order."""
+
     n: int
     p: float
     b: float  # 1/(1-p)
@@ -265,30 +265,17 @@ class MomentProfile:
     k_hat_closed_form: float
     closed_form_gap: float
     delta: float
-    threshold: Threshold
+    g: int  # g_threshold's floor, its un-floored value and its near-tie flag
+    g_raw: float
+    g_near_tie: bool
     k: int  # target_k(k_hat, delta), the size the second moment targets
-    points: PartitionPoints
+    ell_star: float
+    ell_1: float
+    ell_2: float  # k - 3(1-p)/p: reported here, read by no bound
+    w: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "b": self.b,
-            "k_star": self.k_star,
-            "k_hat": self.k_hat,
-            "epsilon": self.epsilon,
-            "k_hat_closed_form": self.k_hat_closed_form,
-            "closed_form_gap": self.closed_form_gap,
-            "delta": self.delta,
-            "g": self.threshold.value,
-            "g_raw": self.threshold.raw,
-            "g_near_tie": self.threshold.near_tie,
-            "k": self.k,
-            "ell_star": self.points.ell_star,
-            "ell_1": self.points.ell_1,
-            "ell_2": self.points.ell_2,
-            "w": self.points.w,
-        }
+        return asdict(self)
 
 
 def target_k(k_hat: float, delta: float = DEFAULT_DELTA) -> int:
@@ -312,9 +299,14 @@ def compute_profile(n: int, p: float, delta: float = DEFAULT_DELTA) -> MomentPro
         k_hat_closed_form=cf,
         closed_form_gap=root - cf,
         delta=delta,
-        threshold=thr,
+        g=thr.value,
+        g_raw=thr.raw,
+        g_near_tie=thr.near_tie,
         k=k,
-        points=pts,
+        ell_star=pts.ell_star,
+        ell_1=pts.ell_1,
+        ell_2=k - 3 * (1 - p) / p,
+        w=pts.w,
     )
 
 
@@ -609,15 +601,11 @@ def variance_ratio_bound(n: int, p: float, k: int) -> VarianceBound:
     Sparse regime (p < 1/(2 ln n)): the four-part split with the trivial,
     product, forest-count, and near-total-overlap bounds. Dense regime: the
     trivial bound up to ell_1, the product bound up to product_bound_max_ell
-    = k - 2(1-p)/p, and the f0/f1 bound beyond. The other boundaries are
-    partition_points' (its ell_2 is only reported); ell <= x is ell <= floor(x).
+    = k - 2(1-p)/p, and the f0/f1 bound beyond. The other boundaries, and
+    the checks of n, p and k, are partition_points'; ell <= x is ell <= floor(x).
     """
-    _check_p(p)
-    _check_n(n)
-    if not (2 <= k <= n):
-        raise ValueError(f"need 2 <= k <= n, got k={k}")
-    sparse = p < 1 / (2 * log(n))
     pts = partition_points(n, p, k)
+    sparse = p < 1 / (2 * log(n))
     ranges = _part_ranges(p, k, sparse, pts)
     terms = _OverlapTerms(n, p, k)
     entries = np.empty(k - 2)

@@ -161,6 +161,31 @@ def test_moments_profile(capsys):
     assert doc["g"] >= 2
 
 
+# SHA-256 of the stdout of `moments profile`: the keys, in MomentProfile's field order,
+# and every value's digits
+PROFILE_STDOUT = [
+    ("16", "0.45", "4755c92b87fd296d5b5c0339f1c4b7901b8767e0f284c11e4342e81ea000fa2f"),
+    ("100000", "0.02", "2fca027f144811a384dd2fac58db0aa3d786040abac222c2fe69818d1b493bb8"),
+]
+
+
+@pytest.mark.parametrize("n, p, sha", PROFILE_STDOUT, ids=["16-.45", "1e5-.02"])
+def test_moments_profile_stdout_pinned(capsys, n, p, sha):
+    code, out, _ = run_cli(capsys, "moments", "profile", "--n", n, "--p", p)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("n, p", [("16", "0.45"), ("100000", "0.02")], ids=["16-.45", "1e5-.02"])
+def test_varbound_default_k_is_profile_k(capsys, n, p):
+    _, out, _ = run_cli(capsys, "moments", "profile", "--n", n, "--p", p)
+    k = json.loads(out)["k"]
+    code, out, _ = run_cli(capsys, "moments", "varbound", "--n", n, "--p", p)
+    rows = out.splitlines()[1:-1]  # between the CSV header and the JSON sums
+    assert code == 0 and len(rows) == k - 2
+    assert int(rows[-1].split(",")[1]) == k - 1
+
+
 def test_moments_varbound(capsys):
     code, out, _ = run_cli(
         capsys, "moments", "varbound", "--n", "100000", "--p", "0.02"
@@ -392,8 +417,14 @@ def test_moments_profile_beyond_float_resolution_exits_2(capsys):
         (("profile", "--n", "1", "--p", "0.5"), ("n must be in [2,", "got 1")),
         (("profile", "--n", "100000", "--p", "0.02", "--delta", "nan"), ("delta must be finite", "nan")),
         (("profile", "--n", "100000", "--p", "0.02", "--delta", "inf"), ("delta must be finite", "inf")),
+        (("profile", "--n", "100000", "--p", "0.02", "--delta", "-1000"), ("need 2 <= k <= n, got k=-149\n",)),
+        (("profile", "--n", "100000", "--p", "0.02", "--delta", "1e300"), ("got k=1.00000000000000e+300\n",)),
+        (("varbound", "--n", "100", "--p", "0.1", "--k", "1" + "0" * 400), ("got k=1.00000000000000e+400\n",)),
     ],
-    ids=["gamma-k-star-positive", "varbound-n0", "n-1e310", "n0", "n1", "delta-nan", "delta-inf"],
+    ids=[
+        "gamma-k-star-positive", "varbound-n0", "n-1e310", "n0", "n1", "delta-nan", "delta-inf",
+        "delta-neg-1000", "delta-1e300", "varbound-k-1e400",
+    ],
 )
 def test_moments_bad_inputs_exit_2(capsys, argv, fragments):
     code, out, err = run_cli(capsys, "moments", *argv)
@@ -738,3 +769,29 @@ def test_experiment_run_warns_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("outside the diagnostic range") == 1
+
+
+def _readme_commands() -> list[str]:
+    """The `indtrees ...` lines of README's sh blocks under CLI and Studies,
+    each cut at '#' and '|', with the loop's "$n" and "$p" made numbers."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for section in ("\n## CLI\n", "\n## Studies\n"):
+        body = readme.split(section, 1)[1].split("\n## ", 1)[0]
+        for block in body.split("```sh\n")[1:]:
+            for line in block.split("```", 1)[0].splitlines():
+                line = line.split("#", 1)[0].split("|", 1)[0].strip()
+                if line.startswith("indtrees "):
+                    commands.append(line.replace('"$n"', "1000000").replace('"$p"', "0.06"))
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 12  # the CLI block's 9, the study's run, the loop's 2
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(line.split()[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -243,6 +243,13 @@ def test_partition_points_rejects_n_outside_float_range(n):
         partition_points(n, 0.3, 5)
 
 
+@pytest.mark.parametrize("k", [0, 1, 100001])
+def test_partition_points_rejects_k_outside_2_to_n(k):
+    # not a math domain error from log(4ek) at k <= 0; profile and varbound both come here
+    with pytest.raises(ValueError, match=rf"^need 2 <= k <= n, got k={k}$"):
+        partition_points(10**5, 0.02, k)
+
+
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
 def test_delta_not_finite_rejected(delta):
     with pytest.raises(ValueError, match="delta must be finite"):
@@ -254,7 +261,6 @@ def test_partition_points_ordered_in_sparse_regime():
     p = n**-0.2
     k = math.floor(solve_k_hat(n, p) - 0.5)
     pts = partition_points(n, p, k)
-    assert pts.ordered
     assert 2 <= pts.ell_star <= pts.k_minus_w_over_p <= pts.k_minus_half_p <= k - 1
 
 
@@ -264,7 +270,7 @@ def test_profile_fields_consistent():
     assert prof.epsilon == pytest.approx(prof.k_star - prof.k_hat)
     assert prof.b == pytest.approx(1 / (1 - prof.p))
     d = prof.to_dict()
-    assert d["g"] == prof.threshold.value
+    assert d["g"] == prof.g
     assert d["n"] == 10**5
 
 
