@@ -6,9 +6,10 @@ are the ground truth against which the analytic bounds in `moments` are checked.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator
 
 import numpy as np
@@ -16,7 +17,13 @@ import numpy as np
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
 MAX_OVERLAP_K = 7  # validate_overlap_bounds' float bounds and the enumeration cross-check
 PRODUCT_BOUND_PS = (0.1, 0.3, 0.5)  # the p at which validate_overlap_bounds checks the product bound
-_PRUFER_BATCH = 2048  # rows per numpy step in the tree and forest streams
+# Trees per numpy step in the tree stream: each per-edge-slot list is 64 KiB, under
+# glibc's 128 KiB mmap threshold (16384 trees measured 13 % slower at k = 8).
+_PRUFER_BATCH = 8192
+# Rows per forest block. At 2048 rows a block's (rows, 21) int8 label gathers
+# (43 KB) stay under glibc's 128 KiB mmap threshold; at 8192 (172 KB) they do
+# not, and the l = 7 forest counts measured 5-13 % slower.
+_FOREST_BATCH = 2048
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
@@ -30,17 +37,26 @@ def cayley(k: int) -> int:
 
 def _tree_code_batches(k: int) -> Iterator[np.ndarray]:
     """The labeled trees on {0..k-1} (k >= 2), _PRUFER_BATCH at a time, as
-    uint8 rows of k-1 edge codes u*k + v (u < v), each row sorted.
+    uint8 arrays of shape (k-1, trees): column j holds tree j's edge codes
+    u*k + v (u < v), increasing down the column.
 
     Trees come in the itertools.product order of their Prüfer sequences. Step
     i joins seq[i] to the lowest vertex that is neither removed yet nor in
-    seq[i:]: the lowest bit of free & avail[i], where avail[i] is the
-    complement of the OR of 1 << seq[j] over j >= i. The last edge joins the
-    two vertices left in free. Arrays are laid out one sequence per column.
+    seq[i:]: the lowest bit of x = free & avail[i], where avail[i] is the
+    complement of the OR of 1 << seq[j] over j >= i. Three tables indexed by
+    a mask or a code do each step's arithmetic: low_k[x] is k times x's
+    lowest vertex, pair_code[a*k + s] the code of the edge {a, s}, and
+    low_bit[x] x's lowest bit. The last edge joins the lowest vertex left in
+    free to k - 1, which is never the lowest candidate and so never removed.
+    An odd-even transposition network of k-1 rounds then sorts each column.
     """
     bit = (1 << np.arange(k)).astype(np.int16)
-    low = np.zeros(1 << k, dtype=np.uint8)  # mask -> its lowest set bit
+    low = np.zeros(1 << k, dtype=np.uint8)  # mask -> its lowest vertex
     low[1:] = [(m & -m).bit_length() - 1 for m in range(1, 1 << k)]
+    low_k = low * np.uint8(k)
+    low_bit = bit.take(low)
+    a, s = np.divmod(np.arange(k * k), k)
+    pair_code = (np.minimum(a, s) * k + np.maximum(a, s)).astype(np.uint8)
     total = k ** (k - 2)
     for start in range(0, total, _PRUFER_BATCH):
         index = np.arange(start, min(start + _PRUFER_BATCH, total), dtype=np.uint32)
@@ -54,28 +70,34 @@ def _tree_code_batches(k: int) -> Iterator[np.ndarray]:
         free = np.full(len(index), (1 << k) - 1, dtype=np.int16)
         codes = np.empty((k - 1, len(index)), dtype=np.uint8)
         for i in range(k - 2):
-            leaf = low.take(free & avail[i])
-            codes[i] = np.minimum(leaf, seq[i]) * k + np.maximum(leaf, seq[i])
-            free ^= bit.take(leaf)
-        codes[k - 2] = low.take(free) * k + low.take(free & (free - 1))
-        codes = codes.T.copy()
-        codes.sort(axis=1)  # code order is (u, v) order
+            x = free & avail[i]
+            pair_code.take(low_k.take(x) + seq[i], out=codes[i])
+            free ^= low_bit.take(x)
+        codes[k - 2] = low_k.take(free) + (k - 1)
+        for r in range(k - 1):  # odd-even transposition; code order is (u, v) order
+            top, bottom = codes[r % 2 : k - 2 : 2], codes[r % 2 + 1 : k - 1 : 2]
+            smaller = np.minimum(top, bottom)
+            np.maximum(top, bottom, out=bottom)
+            top[...] = smaller
         yield codes
 
 
 def enumerate_labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield each labeled tree on {0..k-1} exactly once, as a sorted edge tuple,
-    in the itertools.product order of the trees' Prüfer sequences."""
+    """Each labeled tree on {0..k-1} exactly once, as a sorted edge tuple, in
+    the itertools.product order of the trees' Prüfer sequences.
+
+    zip builds each tree's tuple from one list per edge slot (batch row), so
+    no Python frame runs per tree; see _PRUFER_BATCH for the lists' size."""
     if not (1 <= k <= MAX_TREE_K):
         raise ValueError(f"k must be in [1, {MAX_TREE_K}], got {k}")
     if k == 1:
-        yield ()
-        return
+        return iter([()])
     pairs = np.empty(k * k, dtype=object)  # edge code u*k + v -> (u, v)
     pairs[:] = [(u, v) for u in range(k) for v in range(k)]
-    for codes in _tree_code_batches(k):
-        items = pairs[codes].ravel().tolist()
-        yield from zip(*[iter(items)] * (k - 1))  # k - 1 edges per tree
+    return itertools.chain.from_iterable(
+        zip(*[pairs.take(edge).tolist() for edge in codes])
+        for codes in _tree_code_batches(k)
+    )
 
 
 @dataclass(frozen=True)
@@ -127,7 +149,7 @@ def _forest_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Extend each forest row by `more` further edges, each of index above the
     row's last, and yield the results in lexicographic order, in blocks of at
-    most _PRUFER_BATCH rows, each block with its rows' labels.
+    most _FOREST_BATCH rows, each block with its rows' labels.
 
     A row is a forest's edge indices into (us, vs) in increasing order, with
     labels[row] a component label per vertex. An edge extends a row when its
@@ -135,8 +157,8 @@ def _forest_blocks(
     row by row, so each level stays in lexicographic order. Every subset of a
     forest is a forest, so no forest is missed.
     """
-    for start in range(0, len(rows), _PRUFER_BATCH):
-        block = slice(start, start + _PRUFER_BATCH)
+    for start in range(0, len(rows), _FOREST_BATCH):
+        block = slice(start, start + _FOREST_BATCH)
         if more == 0:
             yield rows[block], labels[block]
             continue
@@ -241,8 +263,8 @@ def _restriction_masks(k: int, l: int) -> dict[int, int]:
     us, vs = np.triu_indices(l, 1)
     bit = np.zeros(k * k, dtype=np.int64)  # edge code -> its bit in the shared-set mask
     bit[us * k + vs] = 1 << np.arange(len(us))
-    masks = np.concatenate(
-        [np.bitwise_or.reduce(bit[codes], axis=1) for codes in _tree_code_batches(k)]
+    masks = np.concatenate(  # one 64 KiB gather per edge slot, see _PRUFER_BATCH
+        [reduce(np.bitwise_or, map(bit.take, codes)) for codes in _tree_code_batches(k)]
     )
     values, counts = np.unique(masks, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))

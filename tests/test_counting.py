@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
 from indtrees import counting
@@ -74,6 +75,24 @@ def test_restriction_masks_match_per_tree_loop():
     for k in range(2, 8):
         for l in range(2, k + 1):
             assert counting._restriction_masks(k, l) == restriction_masks_loop(k, l)
+
+
+@pytest.mark.parametrize("batch", [None, 7], ids=["default-batch", "batch-7"])
+def test_tree_code_batches_are_sorted_columns(monkeypatch, batch):
+    # each batch is (k-1, width) uint8, one tree per column, of codes u*k + v
+    # with u < v, and every column strictly increasing downward: the edges
+    # are sorted and none repeats
+    if batch is not None:
+        monkeypatch.setattr(counting, "_PRUFER_BATCH", batch)
+    for k in range(2, 9):
+        batches = list(counting._tree_code_batches(k))
+        assert all(b.dtype == np.uint8 and b.ndim == 2 and b.shape[0] == k - 1 for b in batches)
+        widths = [b.shape[1] for b in batches]
+        assert max(widths) <= counting._PRUFER_BATCH
+        assert sum(widths) == cayley(k)
+        codes = np.concatenate(batches, axis=1)
+        assert (codes // k < codes % k).all()
+        assert (codes[1:] > codes[:-1]).all()
 
 
 def test_enumeration_matches_direct_scan():
@@ -393,6 +412,10 @@ def test_bound_row_shapes():
         pytest.param(
             lambda: next(enumerate_labeled_trees(10)), "k must be in [1, 9], got 10",
             id="enumerate_labeled_trees",
+        ),
+        pytest.param(
+            lambda: enumerate_labeled_trees(10), "k must be in [1, 9], got 10",
+            id="enumerate_labeled_trees-at-call",
         ),
         pytest.param(
             lambda: count_forests_enumerated(3, 3), "need 0 <= r <= l-1, got l=3, r=3",
