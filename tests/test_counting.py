@@ -77,14 +77,20 @@ def test_restriction_masks_match_per_tree_loop():
             assert counting._restriction_masks(k, l) == restriction_masks_loop(k, l)
 
 
-@pytest.mark.parametrize("batch", [None, 7], ids=["default-batch", "batch-7"])
-def test_tree_code_batches_are_sorted_columns(monkeypatch, batch):
+@pytest.mark.parametrize(
+    "batch, ks",
+    # batch 7 stops at k = 7 (k = 6 still ends on a one-tree batch, 1296 =
+    # 7 * 185 + 1); k = 8 at batch 8191 ends on a ragged batch of 32 trees
+    [(None, range(2, 9)), (7, range(2, 8)), (8191, [8])],
+    ids=["default-batch", "batch-7", "batch-8191"],
+)
+def test_tree_code_batches_are_sorted_columns(monkeypatch, batch, ks):
     # each batch is (k-1, width) uint8, one tree per column, of codes u*k + v
     # with u < v, and every column strictly increasing downward: the edges
     # are sorted and none repeats
     if batch is not None:
         monkeypatch.setattr(counting, "_PRUFER_BATCH", batch)
-    for k in range(2, 9):
+    for k in ks:
         batches = list(counting._tree_code_batches(k))
         assert all(b.dtype == np.uint8 and b.ndim == 2 and b.shape[0] == k - 1 for b in batches)
         widths = [b.shape[1] for b in batches]

@@ -345,6 +345,24 @@ def test_sample_subnormal_p_on_skip_path():
             assert sample_gnp(5000, p, Seed(1)).edge_count == 0
 
 
+def block_rows(n):
+    """Rows per staged byte buffer in _adjacency_rows' numpy path on [n]."""
+    return graphs._STAGE_BYTES // ((n + 7) // 8)
+
+
+# the largest n whose rows fit one staged buffer: 1023 (128-byte rows)
+ONE_BLOCK_N = max(n for n in range(1, graphs.MAX_N + 1) if n <= block_rows(n))
+THREE_BLOCK_N = 1600  # 200-byte rows, 655 per buffer: three buffers, the last one short
+
+
+def random_pairs(n, count, seed, extra=()):
+    """About count random pairs (u, v), u < v < n, plus extra, sorted."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n - 1, count)
+    vs = rng.integers(us + 1, n)
+    return sorted(set(zip(us.tolist(), vs.tolist())) | set(extra))
+
+
 @pytest.mark.parametrize(
     "count, span",
     [
@@ -352,10 +370,15 @@ def test_sample_subnormal_p_on_skip_path():
         for c in (0, 1, graphs._LOOP_EDGES, graphs._LOOP_EDGES + 1, 3000)
     ]
     # every edge inside the middle row block: the first and last blocks are empty
-    + [pytest.param(300, (graphs._ROW_BLOCK, 2 * graphs._ROW_BLOCK), id="300-middle-block")],
+    + [
+        pytest.param(
+            300, (block_rows(THREE_BLOCK_N), 2 * block_rows(THREE_BLOCK_N)), id="300-middle-block"
+        )
+    ],
 )
 def test_rows_from_pair_index_match_constructor(count, span):
-    n = 2 * graphs._ROW_BLOCK + 5  # three row blocks, the last one short
+    n = THREE_BLOCK_N
+    assert 2 * block_rows(n) < n < 3 * block_rows(n)
     us, vs = np.triu_indices(n, 1)  # pairs in lexicographic order
     lo, hi = span or (0, n)
     pool = np.flatnonzero((us >= lo) & (vs < hi))
@@ -365,6 +388,36 @@ def test_rows_from_pair_index_match_constructor(count, span):
     assert g.adj == adjacency_rows(n, pairs) and g.edge_count == count
     assert Graph(n, pairs) == g
     assert repr(g) == f"Graph(n={n}, m={count})"
+
+
+@pytest.mark.parametrize(
+    "n",
+    # one buffer, not full and full, then a second buffer of one row
+    [ONE_BLOCK_N - 1, ONE_BLOCK_N, ONE_BLOCK_N + 1]
+    # n % 8 in {0, 1, 7}: the top byte of a row holds 8, 1 or 7 vertices
+    + [1000, 1001, 1007, 4096, 4097, 4103],
+)
+def test_rows_at_block_and_byte_edges(n):
+    # the first and last vertices meet the lowest and highest row bytes
+    pairs = random_pairs(n, 2000, n, extra=[(0, 1), (0, n - 1), (n - 2, n - 1)])
+    g = Graph._from_pair_index(n, lexicographic_pair_index(n, *np.array(pairs).T))
+    assert g.edge_count > graphs._LOOP_EDGES
+    assert g.adj == adjacency_rows(n, pairs)
+
+
+@pytest.mark.parametrize("count", [5, 200], ids=["loop", "numpy"])
+def test_rows_at_vertex_ceiling(count):
+    n = graphs.MAX_N
+    pairs = random_pairs(n, count, count, extra=[(0, n - 1), (n - 2, n - 1)])
+    g = Graph._from_pair_index(n, lexicographic_pair_index(n, *np.array(pairs).T))
+    assert (g.edge_count > graphs._LOOP_EDGES) == (count > graphs._LOOP_EDGES)
+    assert g.adj == adjacency_rows(n, pairs)
+
+
+def test_staged_row_buffers_stay_under_128_kib():
+    n = np.arange(1, graphs.MAX_N + 1)
+    rows = np.minimum(n, block_rows(n))
+    assert (rows >= 1).all() and (rows * ((n + 7) // 8) < 1 << 17).all()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
@@ -479,6 +532,13 @@ def test_induced_subgraph_rejects_a_vertex_outside_the_graph(vertices):
 def test_graph_is_not_equal_to_another_type(other):
     assert (Graph(3) == other) is False
     assert Graph(3) != other
+
+
+@pytest.mark.parametrize("mask", [1 << 3, (1 << 3) | 1, -1])
+def test_is_connected_set_rejects_mask_outside_vertex_range(mask):
+    message = re.escape(f"vertex mask {mask:#x} outside [0, 2**3) for n=3")
+    with pytest.raises(ValueError, match=message):
+        is_connected_set(path_graph(3), mask)
 
 
 def test_recognizer_edge_cases():
