@@ -17,8 +17,10 @@ import numpy as np
 MAX_TREE_K = 9  # k^(k-2) trees; 9^7 ~ 4.8M is the practical ceiling
 MAX_OVERLAP_K = 7  # validate_overlap_bounds' float bounds and the enumeration cross-check
 PRODUCT_BOUND_PS = (0.1, 0.3, 0.5)  # the p at which validate_overlap_bounds checks the product bound
-# Trees per numpy step in the tree stream: each per-edge-slot list is 64 KiB, under
-# glibc's 128 KiB mmap threshold (16384 trees measured 13 % slower at k = 8).
+# Cap on the trees per numpy step in the tree stream, which decodes the largest
+# power k^d under it at once (4096 trees at k = 8, 6561 at k = 9): each
+# per-edge-slot list then stays under glibc's 128 KiB mmap threshold (a cap of
+# 16384 measured 13 % slower at k = 8).
 _PRUFER_BATCH = 8192
 # Rows per forest block. At 2048 rows a block's (rows, 21) int8 label gathers
 # (43 KB) stay under glibc's 128 KiB mmap threshold; at 8192 (172 KB) they do
@@ -36,44 +38,59 @@ def cayley(k: int) -> int:
 
 
 def _tree_code_batches(k: int) -> Iterator[np.ndarray]:
-    """The labeled trees on {0..k-1} (k >= 2), _PRUFER_BATCH at a time, as
-    uint8 arrays of shape (k-1, trees): column j holds tree j's edge codes
-    u*k + v (u < v), increasing down the column.
+    """The labeled trees on {0..k-1} (k >= 2), k^d at a time, as uint8 arrays
+    of shape (k-1, k^d): column j holds tree j's edge codes u*k + v (u < v),
+    increasing down the column. d is the largest exponent with
+    k^d <= _PRUFER_BATCH, at most k - 2.
 
-    Trees come in the itertools.product order of their Prüfer sequences. Step
-    i joins seq[i] to the lowest vertex that is neither removed yet nor in
-    seq[i:]: the lowest bit of x = free & avail[i], where avail[i] is the
-    complement of the OR of 1 << seq[j] over j >= i. Three tables indexed by
-    a mask or a code do each step's arithmetic: low_k[x] is k times x's
-    lowest vertex, pair_code[a*k + s] the code of the edge {a, s}, and
+    Trees come in the itertools.product order of their Prüfer sequences, so
+    batch j holds Prüfer indices [j k^d, (j+1) k^d): its low d digits run
+    through the same k^d sequences in every batch and its high digits are
+    constant. Step i joins seq[i] to the lowest vertex that is neither removed
+    yet nor in seq[i:]: the lowest bit of x = free & avail[i], where avail[i]
+    is the complement of the OR of 1 << seq[j] over j >= i. The low digits'
+    seq rows and suffix avail masks are built once per call; a high step has
+    one symbol s and the scalar mask of its high suffix, and since it never
+    removes a vertex that the low digits name, it runs on the free vertices
+    outside them. Two tables indexed by a mask do each step's arithmetic:
+    code[s, x] is the code of the edge joining s to x's lowest vertex, and
     low_bit[x] x's lowest bit. The last edge joins the lowest vertex left in
     free to k - 1, which is never the lowest candidate and so never removed.
     An odd-even transposition network of k-1 rounds then sorts each column.
     """
+    d = 0
+    while d < k - 2 and k ** (d + 1) <= _PRUFER_BATCH:
+        d += 1
+    width, high, full = k**d, k - 2 - d, (1 << k) - 1
     bit = (1 << np.arange(k)).astype(np.int16)
     low = np.zeros(1 << k, dtype=np.uint8)  # mask -> its lowest vertex
     low[1:] = [(m & -m).bit_length() - 1 for m in range(1, 1 << k)]
-    low_k = low * np.uint8(k)
     low_bit = bit.take(low)
-    a, s = np.divmod(np.arange(k * k), k)
-    pair_code = (np.minimum(a, s) * k + np.maximum(a, s)).astype(np.uint8)
-    total = k ** (k - 2)
-    for start in range(0, total, _PRUFER_BATCH):
-        index = np.arange(start, min(start + _PRUFER_BATCH, total), dtype=np.uint32)
-        seq = np.empty((k - 2, len(index)), dtype=np.uint8)
-        avail = np.empty((k - 2, len(index)), dtype=np.int16)
-        later = 0
-        for i in range(k - 3, -1, -1):
-            seq[i] = index // k ** (k - 3 - i) % k
-            later = later | bit.take(seq[i])
-            avail[i] = ~later
-        free = np.full(len(index), (1 << k) - 1, dtype=np.int16)
-        codes = np.empty((k - 1, len(index)), dtype=np.uint8)
-        for i in range(k - 2):
-            x = free & avail[i]
-            pair_code.take(low_k.take(x) + seq[i], out=codes[i])
+    a, b = np.divmod(np.arange(k * k), k)
+    pair_code = (np.minimum(a, b) * k + np.maximum(a, b)).astype(np.uint8).reshape(k, k)
+    code = pair_code[:, low]  # (k, 2^k); code.ravel()[(s << k) | x] = code[s, x]
+    last_code = pair_code[k - 1].take(low)
+    digits = np.arange(width) // k ** np.arange(d - 1, -1, -1)[:, None] % k  # (d, width)
+    key = (digits << k).astype(np.int16)
+    avail = np.empty((d, width), dtype=np.int16)
+    named = np.zeros(width, dtype=np.int16)  # the vertices in the low digits
+    for i in range(d - 1, -1, -1):
+        named |= bit.take(digits[i])
+        avail[i] = ~named
+    outside = full ^ named
+    for prefix in itertools.product(range(k), repeat=high):
+        codes = np.empty((k - 1, width), dtype=np.uint8)
+        free = outside.copy()
+        for i, sym in enumerate(prefix):
+            x = free & (full ^ sum({1 << s for s in prefix[i:]}))  # free & avail[i]
+            code[sym].take(x, out=codes[i])
             free ^= low_bit.take(x)
-        codes[k - 2] = low_k.take(free) + (k - 1)
+        free |= named
+        for i in range(d):
+            x = free & avail[i]
+            code.take(key[i] | x, out=codes[high + i])
+            free ^= low_bit.take(x)
+        last_code.take(free, out=codes[k - 2])
         for r in range(k - 1):  # odd-even transposition; code order is (u, v) order
             top, bottom = codes[r % 2 : k - 2 : 2], codes[r % 2 + 1 : k - 1 : 2]
             smaller = np.minimum(top, bottom)
@@ -108,10 +125,14 @@ class ForestCount:
 
 
 def count_forests_enumerated(l: int, r: int) -> int:
-    """phi(l, r) by counting the rows that _forests grows; oracle path, l <= 8."""
+    """phi(l, r) by counting the extensions of the (r-1)-edge forests that
+    _forests grows (see _last_level); oracle path, l <= 8."""
     if not (0 <= r <= max(l - 1, 0)):
         raise ValueError(f"need 0 <= r <= l-1, got l={l}, r={r}")
-    return sum(len(rows) for rows, _ in _forests(l, r))
+    if r == 0:
+        _forests(l, 0)  # checks l; the one 0-edge forest is the empty one
+        return 1
+    return sum(int(np.count_nonzero(extends)) for *_, extends in _last_level(l, r))
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +164,16 @@ def count_forests(l: int, r: int) -> ForestCount:
     return ForestCount(l, r, _forest_weights(l, 0)[l - r])
 
 
+def _extensions(
+    labels: np.ndarray, last: np.ndarray | int, us: np.ndarray, vs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The end labels lu, lv of every edge in every row, and the (row, edge)
+    mask of the edges that extend the row: index above the row's last edge,
+    ends in different components."""
+    lu, lv = labels[:, us], labels[:, vs]
+    return lu, lv, (np.arange(len(us)) > last) & (lu != lv)
+
+
 def _forest_blocks(
     rows: np.ndarray, labels: np.ndarray, last: np.ndarray, more: int,
     us: np.ndarray, vs: np.ndarray,
@@ -152,10 +183,9 @@ def _forest_blocks(
     most _FOREST_BATCH rows, each block with its rows' labels.
 
     A row is a forest's edge indices into (us, vs) in increasing order, with
-    labels[row] a component label per vertex. An edge extends a row when its
-    ends carry different labels; np.nonzero lists the extensions of a block
-    row by row, so each level stays in lexicographic order. Every subset of a
-    forest is a forest, so no forest is missed.
+    labels[row] a component label per vertex. np.nonzero lists the extensions
+    (_extensions) of a block row by row, so each level stays in lexicographic
+    order. Every subset of a forest is a forest, so no forest is missed.
     """
     for start in range(0, len(rows), _FOREST_BATCH):
         block = slice(start, start + _FOREST_BATCH)
@@ -163,10 +193,11 @@ def _forest_blocks(
             yield rows[block], labels[block]
             continue
         lab = labels[block]
-        lu, lv = lab[:, us], lab[:, vs]
-        row, edge = np.nonzero((np.arange(len(us)) > last[block]) & (lu != lv))
+        lu, lv, extends = _extensions(lab, last[block], us, vs)
+        row, edge = np.nonzero(extends)
         lab = lab[row]
-        merged = np.where(lab == lv[row, edge][:, None], lu[row, edge][:, None], lab)
+        old = lv[row, edge][:, None]  # v's component takes u's label
+        merged = lab + (lab == old) * (lu[row, edge][:, None] - old)
         grown = np.column_stack((rows[block][row], edge.astype(np.int8)))
         yield from _forest_blocks(grown, merged, edge[:, None], more - 1, us, vs)
 
@@ -184,10 +215,28 @@ def _forests(l: int, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     return _forest_blocks(empty, labels, np.array([[-1]]), r, us, vs)
 
 
+def _last_level(l: int, r: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The r-edge forests on [l] (1 <= r, l <= 8) without building them: per
+    block of (r-1)-edge forests from _forests, its labels, its end labels
+    lu, lv and its extension mask from _extensions. Each true (row, edge)
+    pair of the mask is one r-edge forest."""
+    us, vs = np.triu_indices(l, 1)
+    for rows, labels in _forests(l, r - 1):
+        lu, lv, extends = _extensions(labels, rows[:, -1:] if r > 1 else -1, us, vs)
+        yield labels, lu, lv, extends
+
+
+def _component_sizes(labels: np.ndarray) -> np.ndarray:
+    """Each forest's component size per label (0 for a label no vertex carries),
+    from one bincount over the labels offset by l per row."""
+    rows, l = labels.shape
+    flat = labels + np.arange(0, rows * l, l)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * l).reshape(rows, l)
+
+
 def _size_products(labels: np.ndarray) -> np.ndarray:
     """Each forest's product of component sizes, from its per-vertex labels."""
-    sizes = (labels[:, :, None] == np.arange(labels.shape[1])).sum(axis=1)  # per row and label
-    return np.prod(np.maximum(sizes, 1), axis=1)
+    return np.prod(np.maximum(_component_sizes(labels), 1), axis=1)
 
 
 def rooted_forest_count_closed_form(n: int, m: int) -> int:
@@ -205,10 +254,24 @@ def rooted_forest_count_closed_form(n: int, m: int) -> int:
 def rooted_forest_count_enumerated(l: int, m: int) -> int:
     """Rooted forests on [l] with m trees (l <= 8): each forest weighted by the
     product of its component sizes (one root choice per tree), counted from
-    the component labels that _forest_blocks keeps per vertex."""
+    the component labels that _forest_blocks keeps per vertex.
+
+    The (l-m)-edge level is read from the extensions of the level below it
+    (_last_level): joining components of sizes s_u and s_v turns the parent's
+    product prod into prod // (s_u s_v) * (s_u + s_v) = prod // s_u + prod // s_v,
+    a sum of two per-label shares of the parent row."""
     if not (1 <= m <= l):
         raise ValueError(f"need 1 <= m <= l, got l={l}, m={m}")
-    return sum(int(_size_products(labels).sum()) for _, labels in _forests(l, l - m))
+    if m == l:
+        _forests(l, 0)  # checks l; the one l-tree forest is the empty one
+        return 1
+    total = 0
+    for labels, lu, lv, extends in _last_level(l, l - m):
+        sizes = np.maximum(_component_sizes(labels), 1)
+        share = np.prod(sizes, axis=1)[:, None] // sizes  # prod // s per label
+        row = np.arange(0, sizes.size, l)[:, None]  # each row's first flat index
+        total += int((share.take(lu + row) + share.take(lv + row))[extends].sum())
+    return total
 
 
 def pow_log(base: float, exponent: float) -> float:

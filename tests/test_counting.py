@@ -50,7 +50,7 @@ def test_enumeration_yields_distinct_trees():
 
 
 def test_batch_stream_matches_scalar_decoder():
-    # same tuples in the same order; k=7 spans 17 batches
+    # same tuples in the same order; k=7 spans 7 batches of 7^4 trees
     for k in range(3, 8):
         assert list(enumerate_labeled_trees(k)) == list(prufer_trees(k))
 
@@ -64,7 +64,7 @@ def test_k8_stream_pinned():
 
 
 def test_stream_matches_scalar_decoder_across_small_batches(monkeypatch):
-    # batches of 7 end inside every block of Prüfer indices that share a prefix
+    # at 7, a batch holds the k trees that share all but the last Prüfer digit
     monkeypatch.setattr(counting, "_PRUFER_BATCH", 7)
     for k in range(3, 8):
         assert list(enumerate_labeled_trees(k)) == list(prufer_trees(k))
@@ -79,8 +79,8 @@ def test_restriction_masks_match_per_tree_loop():
 
 @pytest.mark.parametrize(
     "batch, ks",
-    # batch 7 stops at k = 7 (k = 6 still ends on a one-tree batch, 1296 =
-    # 7 * 185 + 1); k = 8 at batch 8191 ends on a ragged batch of 32 trees
+    # batch 7 stops at k = 7 (from k = 3, k trees a batch); k = 8 at
+    # batch 8191 decodes 4096 = 8^4 trees a batch, as at the default
     [(None, range(2, 9)), (7, range(2, 8)), (8191, [8])],
     ids=["default-batch", "batch-7", "batch-8191"],
 )
@@ -99,6 +99,29 @@ def test_tree_code_batches_are_sorted_columns(monkeypatch, batch, ks):
         codes = np.concatenate(batches, axis=1)
         assert (codes // k < codes % k).all()
         assert (codes[1:] > codes[:-1]).all()
+
+
+@pytest.mark.parametrize("batch", [2, 7, None], ids=["batch-2", "batch-7", "default-batch"])
+def test_tree_code_batches_are_aligned(monkeypatch, batch):
+    # every batch is (k-1, k^d), d the largest exponent with k^d <= the batch
+    # size (at most k - 2), and batch j holds Prüfer indices [j k^d, (j+1) k^d)
+    if batch is not None:
+        monkeypatch.setattr(counting, "_PRUFER_BATCH", batch)
+    for k in range(2, 8):
+        width = k ** max(d for d in range(k - 1) if k**d <= counting._PRUFER_BATCH)
+        trees = list(prufer_trees(k))
+        batches = list(counting._tree_code_batches(k))
+        assert all(codes.shape == (k - 1, width) for codes in batches)
+        us, vs = np.divmod(np.concatenate(batches, axis=1), k)  # batch j: columns [j k^d, (j+1) k^d)
+        slots = [list(zip(u, v)) for u, v in zip(us.tolist(), vs.tolist())]  # one list per edge slot
+        assert list(zip(*slots)) == trees
+        assert list(enumerate_labeled_trees(k)) == trees
+
+
+def test_default_tree_code_batch_widths():
+    # 7^4 = 2401, 8^4 = 4096 and 9^4 = 6561 trees a batch at the default size
+    for k, width in [(7, 2401), (8, 4096), (9, 6561)]:
+        assert next(counting._tree_code_batches(k)).shape == (k - 1, width)
 
 
 def test_enumeration_matches_direct_scan():
@@ -199,6 +222,26 @@ def test_enumerate_forests_rejects_bad_arguments(l, r):
 def test_rooted_forest_enumeration_rejects_bad_m(m):
     with pytest.raises(ValueError, match=rf"need 1 <= m <= l, got l=3, m={m}"):
         rooted_forest_count_enumerated(3, m)
+
+
+@pytest.mark.parametrize(
+    "batch, ls",
+    # at 5 rows a block, the (r-1)-edge level that the last level is read
+    # from spans up to 2735 blocks at l = 7; l = 8 at 1000 rows spans 201
+    [(None, range(0, 9)), (5, range(0, 8)), (1000, [8])],
+    ids=["default-batch", "batch-5", "batch-1000"],
+)
+def test_last_level_counts_match_closed_forms(monkeypatch, batch, ls):
+    # every r and m, with r = 0 and m = l, where there is no level to extend
+    if batch is not None:
+        monkeypatch.setattr(counting, "_FOREST_BATCH", batch)
+    for l in ls:
+        forests = [count_forests_enumerated(l, r) for r in range(max(l, 1))]
+        assert all(type(count) is int for count in forests)
+        assert forests == ([1] if l == 0 else [count_forests(l, r).value for r in range(l)])
+        rooted = [rooted_forest_count_enumerated(l, m) for m in range(1, l + 1)]
+        assert all(type(count) is int for count in rooted)
+        assert rooted == [rooted_forest_count_closed_form(l, m) for m in range(1, l + 1)]
 
 
 def test_rooted_forest_closed_form_exponent():
@@ -426,6 +469,14 @@ def test_bound_row_shapes():
         pytest.param(
             lambda: count_forests_enumerated(3, 3), "need 0 <= r <= l-1, got l=3, r=3",
             id="count_forests_enumerated",
+        ),
+        pytest.param(
+            lambda: count_forests_enumerated(9, 0), "l must be in [0, 8], got 9",
+            id="count_forests_enumerated-l",
+        ),
+        pytest.param(
+            lambda: rooted_forest_count_enumerated(9, 9), "l must be in [0, 8], got 9",
+            id="rooted_forest_count_enumerated-l",
         ),
         pytest.param(
             lambda: rooted_forest_count_closed_form(3, 0), "need 1 <= m <= n",

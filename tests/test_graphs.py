@@ -53,8 +53,14 @@ def test_mask_vertices_lists_set_bits_in_order(vertices):
 
 
 def test_mask_vertices_rejects_negative_mask():
-    with pytest.raises(ValueError, match="vertex mask must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="vertex mask must be >= 0, got -0x1"):
         mask_vertices(-1)
+
+
+def test_mask_vertices_rejects_huge_negative_mask():
+    # past 4300 decimal digits; the message prints the mask in hex
+    with pytest.raises(ValueError, match="vertex mask must be >= 0, got -0x10{5000}$"):
+        mask_vertices(-(1 << 20000))
 
 
 # --- Graph construction ------------------------------------------------------
